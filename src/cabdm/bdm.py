@@ -49,7 +49,6 @@ class BlockPartition:
 class BdmValue:
     value: float
     partition: BlockPartition
-    table: str
 
     def __float__(self) -> float:
         return self.value
@@ -105,7 +104,7 @@ def bdm_1d(s: str, table: CtmTable, b: int = DEFAULT_BLOCK_LEN_1D) -> BdmValue:
     """BDM of a binary string decomposed into length-b blocks."""
     partition = partition_1d(s, b)
     counts = dict(partition.blocks)
-    return BdmValue(value=_score(counts, table), partition=partition, table=repr(table))
+    return BdmValue(value=_score(counts, table), partition=partition)
 
 
 def bdm_2d(a, table: CtmTable, d: int = DEFAULT_BLOCK_SIDE_2D, ternary: bool | None = None) -> BdmValue:
@@ -150,4 +149,4 @@ def bdm_2d(a, table: CtmTable, d: int = DEFAULT_BLOCK_SIDE_2D, ternary: bool | N
         block_size=d,
         remainder=(height % d) * width + (width % d) * (height - height % d),
     )
-    return BdmValue(value=_score(str_counts, table), partition=partition, table=repr(table))
+    return BdmValue(value=_score(str_counts, table), partition=partition)

@@ -103,19 +103,24 @@ class Spacetime:
         return True
 
 
+def _evolve(rule, init: np.ndarray, steps: int, seed: int | None = None) -> Spacetime:
+    """Apply ``rule.step`` ``steps`` times to a validated initial state."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    out = np.empty((steps + 1,) + init.shape, dtype=np.int8)
+    out[0] = init
+    for t in range(steps):
+        out[t + 1] = rule.step(out[t])
+    return Spacetime(cells=out, rule=rule, seed=seed)
+
+
 def evolve_eca(rule: EcaRule | int, init, steps: int) -> Spacetime:
     """Evolve a cyclic binary row for ``steps`` updates (steps+1 rows out)."""
     if isinstance(rule, (int, np.integer)):
         rule = rule_table(rule)
     row = _as_cells(init, 1)
     _require_binary(row, "initial configuration")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    out = np.empty((steps + 1, row.shape[0]), dtype=np.int8)
-    out[0] = row
-    for t in range(steps):
-        out[t + 1] = rule.step(out[t])
-    return Spacetime(cells=out, rule=rule)
+    return _evolve(rule, row, steps)
 
 
 class _GolRule:
@@ -145,13 +150,7 @@ def evolve_gol(init, steps: int) -> Spacetime:
     _require_binary(grid, "initial grid")
     if grid.shape[0] < 3 or grid.shape[1] < 3:
         raise ValueError(f"grid must be at least 3x3, got {grid.shape}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    out = np.empty((steps + 1,) + grid.shape, dtype=np.int8)
-    out[0] = grid
-    for t in range(steps):
-        out[t + 1] = GOL_RULE.step(out[t])
-    return Spacetime(cells=out, rule=GOL_RULE)
+    return _evolve(GOL_RULE, grid, steps)
 
 
 def random_config(seed: int, width: int, density: float, label: str = "random-config") -> np.ndarray:

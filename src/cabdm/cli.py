@@ -115,17 +115,32 @@ def _cmd_ctm_build(args) -> int:
     return 0
 
 
+def _read_cells(path) -> list[str]:
+    """Data lines of a ``bdm`` input: one 0/1 line, or equal-length rows
+    over 0/1/2 (2 stands for a -1 cell)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = [(i, line.strip()) for i, line in enumerate(fh, 1) if line.strip() and not line.startswith("#")]
+    if not rows:
+        raise ValueError(f"{path}: no data lines")
+    alphabet = "01" if len(rows) == 1 else "012"
+    first, width = rows[0][0], len(rows[0][1])
+    for lineno, row in rows:
+        bad = next((c for c in row if c not in alphabet), None)
+        if bad is not None:
+            raise ValueError(f"{path}:{lineno}: bad cell {bad!r}, expected one of {', '.join(alphabet)}")
+        if len(row) != width:
+            raise ValueError(f"{path}:{lineno}: row has {len(row)} cells, line {first} has {width}")
+    return [row for _, row in rows]
+
+
 def _cmd_bdm(args) -> int:
     table = _resolve_table(args)
-    with open(args.input, "r", encoding="utf-8") as fh:
-        rows = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
-    if not rows:
-        raise ValueError(f"{args.input}: no data lines")
+    rows = _read_cells(args.input)
     if len(rows) == 1:
         value = bdm.bdm_1d(rows[0], table, args.b).value
     else:
-        digits = [[{-1: -1, 0: 0, 1: 1, 2: -1}[int(c)] for c in row] for row in rows]
-        value = bdm.bdm_2d(np.array(digits, dtype=np.int8), table, args.d).value
+        digits = np.array([[int(c) for c in row] for row in rows], dtype=np.int8)
+        value = bdm.bdm_2d(np.where(digits == 2, np.int8(-1), digits), table, args.d).value
     print(f"{value:.6f}")
     return 0
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bdm
 from .baselines import compressed_size
-from .ca import EcaRule, Spacetime, evolve_eca, rule_table
+from .ca import EcaRule, Spacetime, _evolve, evolve_eca, rule_table
 from .ctm import CtmTable
 from .rng import Stream
 
@@ -90,13 +90,7 @@ def evolve_interacting(rule: InteractionRule, init, steps: int) -> Spacetime:
         raise ValueError(f"expected a 1D configuration, got shape {row.shape}")
     if row.size and not np.isin(row, (-1, 0, 1)).all():
         raise ValueError("initial configuration must be over {-1, 0, 1}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    out = np.empty((steps + 1, row.shape[0]), dtype=np.int8)
-    out[0] = row
-    for t in range(steps):
-        out[t + 1] = rule.step(out[t])
-    return Spacetime(cells=out, rule=rule, seed=rule.seed)
+    return _evolve(rule, row, steps, seed=rule.seed)
 
 
 @dataclass(frozen=True)

@@ -33,14 +33,15 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .parallel import _pmap
 from .rng import Stream
 
 DEFAULT_CUTOFF = 107  # sound for n <= 4: no (4,2) machine halts later
@@ -166,8 +167,9 @@ def run_machine(machine: TuringMachine, cutoff: int) -> RunOutcome:
     return RunOutcome(halted=False, steps_used=cutoff, output=None)
 
 
-def _simulate_array(n: int, cutoff: int, indices: np.ndarray) -> tuple[Counter, int, int]:
-    """Run the machines with the given indices in vectorized lockstep.
+def _simulate_array(n: int, cutoff: int, indices) -> tuple[Counter, int, int]:
+    """Run the machines with the given indices (a range or an array) in
+    vectorized lockstep.
 
     Returns (output counts before complement-symmetrization, number of
     halting machines, maximum steps among halters).
@@ -175,7 +177,9 @@ def _simulate_array(n: int, cutoff: int, indices: np.ndarray) -> tuple[Counter, 
     base = 4 * n + 2
     count = len(indices)
     digits = np.empty((count, 2 * n), dtype=np.int8)
-    x = indices.astype(np.int64, copy=True)
+    if isinstance(indices, range):  # np.array would convert it element by element
+        indices = np.arange(indices.start, indices.stop, dtype=np.int64)
+    x = np.array(indices, dtype=np.int64)
     for e in range(2 * n):
         digits[:, e] = x % base
         x //= base
@@ -217,20 +221,10 @@ def _simulate_array(n: int, cutoff: int, indices: np.ndarray) -> tuple[Counter, 
     return counts, int(halted.sum()), max_steps
 
 
-def _simulate_ranges(args) -> tuple[Counter, int, int]:
-    n, cutoff, lo, hi = args
-    return _simulate_array(n, cutoff, np.arange(lo, hi, dtype=np.int64))
-
-
 def max_halting_steps(n: int, k: int = 2, cutoff: int = DEFAULT_CUTOFF) -> int:
     """Largest step count of any halting machine in the class (<= cutoff)."""
-    _check_class(n, k)
-    best = 0
-    for lo in range(0, class_size(n, k), 1 << 18):
-        hi = min(lo + (1 << 18), class_size(n, k))
-        _, _, steps = _simulate_array(n, cutoff, np.arange(lo, hi, dtype=np.int64))
-        best = max(best, steps)
-    return best
+    _, jobs = _machine_jobs(n, k, cutoff, sample=None, sample_seed=0, allow_long_run=True, chunk_size=1 << 18)
+    return max(_simulate_array(n, cutoff, job)[2] for job in jobs)
 
 
 class CtmTable:
@@ -292,13 +286,6 @@ class CtmTable:
         """Lengths L for which all 2^L strings are present."""
         return [L for L, c in self.covered_counts().items() if c == 2**L]
 
-    def save(self, path) -> None:
-        save_table(self, path)
-
-
-def lookup(table: CtmTable, block: str) -> float:
-    return table.lookup(block)
-
 
 def _stratified_sample(total: int, size: int, seed: int) -> np.ndarray:
     """One uniform index per stratum of an even partition of the class."""
@@ -308,23 +295,9 @@ def _stratified_sample(total: int, size: int, seed: int) -> np.ndarray:
     return np.asarray(picks, dtype=np.int64)
 
 
-def build_table(
-    n: int,
-    k: int = 2,
-    cutoff: int = DEFAULT_CUTOFF,
-    workers: int = 1,
-    sample: int | None = None,
-    sample_seed: int = 0,
-    allow_long_run: bool = False,
-    chunk_size: int = 1 << 18,
-) -> CtmTable:
-    """Enumerate (or sample) the machine class and tally halting outputs.
-
-    Enumeration is cut into fixed contiguous index ranges; ranges may be
-    simulated by any number of worker processes, and because merging counts
-    is a commutative integer sum the resulting table does not depend on
-    ``workers`` or scheduling.
-    """
+def _machine_jobs(n, k, cutoff, sample, sample_seed, allow_long_run, chunk_size):
+    """(machines covered, index chunks): contiguous ranges of the whole
+    class, or consecutive slices of a stratified sample of it."""
     _check_class(n, k)
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -340,33 +313,37 @@ def build_table(
                 "full (4,2) enumeration takes hours; pass allow_long_run=True "
                 "or sample= for a sampled table"
             )
-        jobs = [(n, cutoff, lo, min(lo + chunk_size, total_class)) for lo in range(0, total_class, chunk_size)]
-        total = total_class
+        indices = range(total_class)
     else:
         if not 1 <= sample <= total_class:
             raise ValueError(f"sample size must be in [1, {total_class}]")
         indices = _stratified_sample(total_class, sample, sample_seed)
-        total = sample
+    return len(indices), [indices[lo : lo + chunk_size] for lo in range(0, len(indices), chunk_size)]
 
+
+def build_table(
+    n: int,
+    k: int = 2,
+    cutoff: int = DEFAULT_CUTOFF,
+    workers: int = 1,
+    sample: int | None = None,
+    sample_seed: int = 0,
+    allow_long_run: bool = False,
+    chunk_size: int = 1 << 18,
+) -> CtmTable:
+    """Enumerate (or sample) the machine class and tally halting outputs.
+
+    The machines are cut into fixed chunks of consecutive indices (or of
+    consecutive sample entries); chunks may be simulated by any number of
+    worker processes, and because merging counts is a commutative integer
+    sum the resulting table does not depend on ``workers`` or scheduling.
+    """
+    total, jobs = _machine_jobs(n, k, cutoff, sample, sample_seed, allow_long_run, chunk_size)
     raw: Counter = Counter()
     halting_machines = 0
-    if sample is not None:
-        # Sampled indices are not contiguous; run them through the same
-        # vectorized core one chunk at a time.
-        for lo in range(0, len(indices), chunk_size):
-            part = _simulate_array(n, cutoff, indices[lo : lo + chunk_size])
-            raw += part[0]
-            halting_machines += part[1]
-    elif workers <= 1:
-        for job in jobs:
-            part = _simulate_ranges(job)
-            raw += part[0]
-            halting_machines += part[1]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_simulate_ranges, jobs):
-                raw += part[0]
-                halting_machines += part[1]
+    for part, halted, _ in _pmap(partial(_simulate_array, n, cutoff), jobs, workers):
+        raw += part
+        halting_machines += halted
 
     counts: Counter = Counter()
     for s, c in raw.items():

@@ -9,8 +9,8 @@ measure(unperturbed).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from . import bdm
 from .baselines import compressed_size, shannon_block_entropy, temporal_cell_entropy
 from .ca import evolve_eca, evolve_gol, flip_cell, random_config, random_grid
 from .ctm import CtmTable
+from .parallel import _pmap
 
 INIT_LABEL = "perturb-init"
 GOL_INIT_LABEL = "gol-init"
@@ -68,32 +69,16 @@ def delta_measures(
     seed: int | None = None,
 ) -> DeltaReport:
     """Score one flip of the initial state; ``flip=None`` is the null case."""
+    return _flip_deltas(rule, init, (flip,), steps, table, b, seed)[0]
+
+
+def _flip_deltas(rule, init, flips, steps, table, b, seed) -> list[DeltaReport]:
+    """Score each flip position against one unperturbed run of ``init``."""
     init = np.asarray(init, dtype=np.int8)
-    base = evolve_eca(rule, init, steps)
-    perturbed = base if flip is None else evolve_eca(rule, flip_cell(init, flip), steps)
-    m0 = spacetime_measures(base.cells, table, b)
-    m1 = m0 if flip is None else spacetime_measures(perturbed.cells, table, b)
-    return DeltaReport(
-        delta_bdm=m1[0] - m0[0],
-        delta_compressed_bytes=m1[1] - m0[1],
-        delta_entropy=m1[2] - m0[2],
-        rule=rule,
-        seed=seed,
-        flip_pos=flip,
-        width=init.shape[0],
-        steps=steps,
-    )
-
-
-def _sweep_cell(rule, seed, width, steps, density, table, b):
-    """All flip positions for one (rule, seed); one stream per pair."""
-    init = random_config(seed, width, density, label=INIT_LABEL)
-    base = evolve_eca(rule, init, steps)
-    m0 = spacetime_measures(base.cells, table, b)
+    m0 = spacetime_measures(evolve_eca(rule, init, steps).cells, table, b)
     reports = []
-    for pos in range(width):
-        perturbed = evolve_eca(rule, flip_cell(init, pos), steps)
-        m1 = spacetime_measures(perturbed.cells, table, b)
+    for flip in flips:
+        m1 = m0 if flip is None else spacetime_measures(evolve_eca(rule, flip_cell(init, flip), steps).cells, table, b)
         reports.append(
             DeltaReport(
                 delta_bdm=m1[0] - m0[0],
@@ -101,16 +86,19 @@ def _sweep_cell(rule, seed, width, steps, density, table, b):
                 delta_entropy=m1[2] - m0[2],
                 rule=rule,
                 seed=seed,
-                flip_pos=pos,
-                width=width,
+                flip_pos=flip,
+                width=init.shape[0],
                 steps=steps,
             )
         )
     return reports
 
 
-def _sweep_task(args):
-    return args[0], args[1], _sweep_cell(*args)
+def _sweep_cell(pair, width, steps, density, table, b) -> list[DeltaReport]:
+    """All flip positions for one (rule, seed); one stream per pair."""
+    rule, seed = pair
+    init = random_config(seed, width, density, label=INIT_LABEL)
+    return _flip_deltas(rule, init, range(width), steps, table, b, seed)
 
 
 def perturbation_sweep(
@@ -133,15 +121,9 @@ def perturbation_sweep(
     seed_list = tuple(range(seeds)) if isinstance(seeds, int) else tuple(int(s) for s in seeds)
     if not rules or not seed_list:
         raise ValueError("need at least one rule and one seed")
-    jobs = [(rule, seed, width, steps, density, table, b) for rule in rules for seed in seed_list]
-    by_pair = {}
-    if workers <= 1:
-        for job in jobs:
-            by_pair[(job[0], job[1])] = _sweep_cell(*job)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rule, seed, reports in pool.map(_sweep_task, jobs):
-                by_pair[(rule, seed)] = reports
+    pairs = [(rule, seed) for rule in rules for seed in seed_list]
+    cell = partial(_sweep_cell, width=width, steps=steps, density=density, table=table, b=b)
+    by_pair = dict(zip(pairs, _pmap(cell, pairs, workers)))
 
     all_reports: list[DeltaReport] = []
     mean_bdm = np.zeros((len(rules), width))

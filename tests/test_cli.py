@@ -91,6 +91,20 @@ class TestRun:
         assert run(["bdm", "--input", str(data)]) == 0
         float(capsys.readouterr().out.strip())  # parses as a number
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("0101\n0131\n", "in.txt:2: bad cell '3', expected one of 0, 1, 2"),
+            ("01a10\n", "in.txt:1: bad cell 'a', expected one of 0, 1"),
+            ("# grid\n0101\n011\n", "in.txt:3: row has 3 cells, line 2 has 4"),
+        ],
+    )
+    def test_bdm_input_errors_name_the_line(self, tmp_path, capsys, text, message):
+        data = tmp_path / "in.txt"
+        data.write_text(text)
+        assert run(["bdm", "--input", str(data)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_perturb_sweep_outputs_reproducible(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         args = ["perturb", "--rules", "30", "--width", "10", "--steps", "6", "--seeds", "2"]

@@ -14,7 +14,6 @@ from cabdm import (
     encode_machine,
     enumerate_machines,
     load_table,
-    lookup,
     max_halting_steps,
     run_machine,
     save_table,
@@ -138,27 +137,27 @@ class TestTableInvariants:
 class TestLookup:
     def test_present_block(self, table32):
         count, value = table32.entries["01"]
-        assert lookup(table32, "01") == value
+        assert table32.lookup("01") == value
 
     def test_missing_block_gets_max_plus_one(self, table32):
         missing = "010101"
         assert missing not in table32.entries
         max_at_6 = max(v for s, (_, v) in table32.entries.items() if len(s) == 6)
-        assert lookup(table32, missing) == max_at_6 + 1.0
+        assert table32.lookup(missing) == max_at_6 + 1.0
 
     def test_uncovered_length_raises(self, table32):
         with pytest.raises(CoverageError):
-            lookup(table32, "0" * 9)
+            table32.lookup("0" * 9)
 
     def test_complement_equality(self, table32):
         for s in table32.entries:
-            assert lookup(table32, s) == lookup(table32, s.translate(COMPLEMENT))
+            assert table32.lookup(s) == table32.lookup(s.translate(COMPLEMENT))
 
     def test_bad_blocks_rejected(self, table32):
         with pytest.raises(ValueError):
-            lookup(table32, "")
+            table32.lookup("")
         with pytest.raises(ValueError):
-            lookup(table32, "012")
+            table32.lookup("012")
 
 
 class TestSaveLoad:
@@ -223,6 +222,7 @@ class TestBuildTable:
         assert sampled.sampled and sampled.total == 500
         assert sampled == build_table(2, sample=500, sample_seed=3)
         assert sum(c for c, _ in sampled.entries.values()) == sampled.halting
+        assert sampled == build_table(2, sample=500, sample_seed=3, workers=2, chunk_size=100)
 
     def test_resource_guards(self):
         with pytest.raises(ValueError):
