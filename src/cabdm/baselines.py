@@ -105,7 +105,10 @@ def shannon_block_entropy(s: str, b: int) -> float:
     for i in range(n_blocks):
         block = s[i * b : (i + 1) * b]
         counts[block] = counts.get(block, 0) + 1
-    return -sum(c / n_blocks * math.log2(c / n_blocks) for c in counts.values())
+    total = 0.0  # left-to-right, as in bdm._score: sum() rounds differently from 3.12
+    for c in counts.values():
+        total += c / n_blocks * math.log2(c / n_blocks)
+    return -total
 
 
 def temporal_cell_entropy(spacetime) -> np.ndarray:

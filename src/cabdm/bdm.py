@@ -97,7 +97,12 @@ def partition_1d(s: str, b: int) -> BlockPartition:
 
 
 def _score(counts: dict[str, int], table: CtmTable) -> float:
-    return sum(table.lookup(block) + math.log2(n) for block, n in counts.items())
+    # A plain left-to-right fold: builtin sum() compensates float rounding
+    # from Python 3.12 on, which would change scores in the last bits.
+    total = 0.0
+    for block, n in counts.items():
+        total += table.lookup(block) + math.log2(n)
+    return total
 
 
 def bdm_1d(s: str, table: CtmTable, b: int = DEFAULT_BLOCK_LEN_1D) -> BdmValue:
@@ -134,15 +139,35 @@ def bdm_2d(a, table: CtmTable, d: int = DEFAULT_BLOCK_SIDE_2D, ternary: bool | N
         cell = 1
 
     height, width = arr.shape
-    counts: dict[bytes, int] = {}
-    for r in range(0, height, d):
-        for c in range(0, width, d):
-            tile = np.ascontiguousarray(grid[r : r + d, cell * c : cell * (c + d)])
-            key = tile.tobytes()
-            counts[key] = counts.get(key, 0) + 1
+    rows, cols = -(-height // d), -(-width // d)  # tiles per axis, edges included
+    full_rows, full_cols = height // d, width // d
+    bits = cell * d * d
+    # (row-major tile position, block, count): one entry per distinct
+    # full-tile block, at its first tile, and one per edge tile.
+    found: list[tuple[int, str, int]] = []
+    if bits <= 64:  # full tiles are packed into unsigned integer codes
+        tiles = (
+            grid.view(np.uint8)[: full_rows * d, : cell * full_cols * d]
+            .reshape(full_rows, d, full_cols, cell * d)
+            .swapaxes(1, 2)
+        )
+        codes = np.zeros((full_rows, full_cols), dtype=np.min_scalar_type((1 << bits) - 1))
+        for i in range(d):
+            for j in range(cell * d):
+                codes <<= 1
+                codes |= tiles[:, :, i, j]
+        uniq, first, n = np.unique(codes, return_index=True, return_counts=True)
+        pos = first // full_cols * cols + first % full_cols if full_cols else first
+        found += zip(pos.tolist(), (format(code, f"0{bits}b") for code in uniq.tolist()), n.tolist())
+        edges = [(r, full_cols) for r in range(full_rows) if full_cols < cols]
+        edges += [(full_rows, c) for c in range(cols) if full_rows < rows]
+    else:
+        edges = [(r, c) for r in range(rows) for c in range(cols)]
+    for r, c in edges:
+        tile = grid[r * d : (r + 1) * d, cell * c * d : cell * (c + 1) * d]
+        found.append((r * cols + c, tile.tobytes().translate(_BYTES_TO_01).decode(), 1))
     str_counts: dict[str, int] = {}
-    for key, n in counts.items():
-        block = key.translate(_BYTES_TO_01).decode()
+    for _, block, n in sorted(found):
         str_counts[block] = str_counts.get(block, 0) + n
     partition = BlockPartition(
         blocks=tuple(str_counts.items()),

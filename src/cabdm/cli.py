@@ -19,7 +19,7 @@ import numpy as np
 from . import bdm
 from .ca import evolve_eca, evolve_gol, random_config, rule_table
 from .collision import collision_experiment, evolve_interacting, sample_interaction_rule, collision_initial_state
-from .ctm import DEFAULT_CUTOFF, build_table, default_table, load_table, save_table
+from .ctm import DEFAULT_CUTOFF, CoverageError, build_table, default_table, load_table, save_table
 from .perturbation import gol_perturbation, perturbation_sweep, perturbation_trace
 
 
@@ -140,7 +140,15 @@ def _cmd_bdm(args) -> int:
         value = bdm.bdm_1d(rows[0], table, args.b).value
     else:
         digits = np.array([[int(c) for c in row] for row in rows], dtype=np.int8)
-        value = bdm.bdm_2d(np.where(digits == 2, np.int8(-1), digits), table, args.d).value
+        try:
+            value = bdm.bdm_2d(np.where(digits == 2, np.int8(-1), digits), table, args.d).value
+        except CoverageError as exc:
+            if not (digits == 2).any():
+                raise
+            raise CoverageError(
+                f"{exc}: a grid with 2 cells makes {2 * args.d * args.d}-bit tiles at --d {args.d}; "
+                "try --d 1 or a table with longer outputs"
+            ) from exc
     print(f"{value:.6f}")
     return 0
 

@@ -223,7 +223,9 @@ def _simulate_array(n: int, cutoff: int, indices) -> tuple[Counter, int, int]:
 
 def max_halting_steps(n: int, k: int = 2, cutoff: int = DEFAULT_CUTOFF) -> int:
     """Largest step count of any halting machine in the class (<= cutoff)."""
-    _, jobs = _machine_jobs(n, k, cutoff, sample=None, sample_seed=0, allow_long_run=True, chunk_size=1 << 18)
+    _, jobs = _machine_jobs(
+        n, k, cutoff, sample=None, sample_seed=0, allow_long_run=True, chunk_size=1 << 18, workers=1
+    )
     return max(_simulate_array(n, cutoff, job)[2] for job in jobs)
 
 
@@ -295,9 +297,10 @@ def _stratified_sample(total: int, size: int, seed: int) -> np.ndarray:
     return np.asarray(picks, dtype=np.int64)
 
 
-def _machine_jobs(n, k, cutoff, sample, sample_seed, allow_long_run, chunk_size):
+def _machine_jobs(n, k, cutoff, sample, sample_seed, allow_long_run, chunk_size, workers):
     """(machines covered, index chunks): contiguous ranges of the whole
-    class, or consecutive slices of a stratified sample of it."""
+    class, or consecutive slices of a stratified sample of it, cut small
+    enough that every worker gets a chunk."""
     _check_class(n, k)
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -318,7 +321,8 @@ def _machine_jobs(n, k, cutoff, sample, sample_seed, allow_long_run, chunk_size)
         if not 1 <= sample <= total_class:
             raise ValueError(f"sample size must be in [1, {total_class}]")
         indices = _stratified_sample(total_class, sample, sample_seed)
-    return len(indices), [indices[lo : lo + chunk_size] for lo in range(0, len(indices), chunk_size)]
+    size = min(chunk_size, -(-len(indices) // max(workers, 1)))
+    return len(indices), [indices[lo : lo + size] for lo in range(0, len(indices), size)]
 
 
 def build_table(
@@ -333,12 +337,13 @@ def build_table(
 ) -> CtmTable:
     """Enumerate (or sample) the machine class and tally halting outputs.
 
-    The machines are cut into fixed chunks of consecutive indices (or of
-    consecutive sample entries); chunks may be simulated by any number of
+    The machines are cut into chunks of consecutive indices (or of
+    consecutive sample entries), at most ``chunk_size`` long and short
+    enough to give every worker one; chunks may be simulated by any number of
     worker processes, and because merging counts is a commutative integer
     sum the resulting table does not depend on ``workers`` or scheduling.
     """
-    total, jobs = _machine_jobs(n, k, cutoff, sample, sample_seed, allow_long_run, chunk_size)
+    total, jobs = _machine_jobs(n, k, cutoff, sample, sample_seed, allow_long_run, chunk_size, workers)
     raw: Counter = Counter()
     halting_machines = 0
     for part, halted, _ in _pmap(partial(_simulate_array, n, cutoff), jobs, workers):

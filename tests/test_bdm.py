@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cabdm import CoverageError, bdm_1d, bdm_2d, flatten_binary, flatten_ternary, partition_1d
 
@@ -20,6 +22,50 @@ def table9():
             s = "".join(bits)
             counts[s] = 2 ** (10 - length)  # shorter = more frequent
     return make_table(counts)
+
+
+def _wide_counts():
+    """All strings up to length 8, then three per length up to 32 (enough
+    for ternary 4x4 tiles), each with its own count."""
+    counts = {}
+    for length in range(1, 9):
+        for bits in product("01", repeat=length):
+            s = "".join(bits)
+            counts[s] = 1 + int(s, 2) * 7919 % 97
+    for length in range(9, 33):
+        for j, s in enumerate(("0" * length, "1" * length, ("01" * length)[:length])):
+            counts[s] = 3 + j
+    return counts
+
+
+WIDE_TABLE = make_table(_wide_counts())
+# Missing lengths make some tilings raise CoverageError, and which length
+# is reported depends on the order blocks are scored in.
+GAPPY_TABLE = make_table({s: c for s, c in _wide_counts().items() if len(s) not in (3, 6, 12, 16)})
+
+
+def reference_bdm_2d(arr, table, d):
+    """Plain per-tile loop: row-major d x d tiles (smaller at the right and
+    bottom edges), ternary cells spelled out as two bits when any -1 is
+    present, blocks scored in order of first appearance."""
+    ternary = bool((arr == -1).any())
+    spell = {-1: "10", 0: "00", 1: "01"} if ternary else {0: "0", 1: "1"}
+    counts = {}
+    for r in range(0, arr.shape[0], d):
+        for c in range(0, arr.shape[1], d):
+            block = "".join(spell[int(v)] for v in arr[r : r + d, c : c + d].flat)
+            counts[block] = counts.get(block, 0) + 1
+    value = 0.0
+    for block, n in counts.items():
+        value += table.lookup(block) + math.log2(n)
+    return value, tuple(counts.items())
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (LookupError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 class TestPartition1d:
@@ -80,6 +126,19 @@ class TestBdm1d:
         with pytest.raises(CoverageError):
             bdm_1d("0" * 16, table32, 8)
 
+    def test_terms_summed_left_to_right(self):
+        # Eight 3-bit blocks with counts 1..8: a left-to-right float sum of
+        # their ctm values differs from the correctly rounded one (fsum), so
+        # this pins the summation order on every Python version.
+        blocks = ["".join(bits) for bits in product("01", repeat=3)]
+        table = make_table({b: i + 1 for i, b in enumerate(blocks)})
+        terms = [table.lookup(b) for b in blocks]
+        sequential = 0.0
+        for term in terms:
+            sequential += term
+        assert sequential != math.fsum(terms)
+        assert bdm_1d("".join(blocks), table, 3).value == sequential
+
     def test_repetition_law_random_strings(self, table32):
         rng = np.random.default_rng(42)
         for _ in range(100):
@@ -130,6 +189,27 @@ class TestBdm2d:
     def test_non_2d_rejected(self, table32):
         with pytest.raises(ValueError):
             bdm_2d(np.zeros(9, dtype=int), table32, 2)
+
+    @given(
+        st.integers(1, 20),
+        st.integers(1, 20),
+        st.integers(1, 4),
+        st.booleans(),
+        st.sampled_from(["wide", "gappy", "shipped"]),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_tile_reference(self, table32, height, width, d, ternary, which, data):
+        cells = data.draw(st.lists(st.sampled_from((-1, 0, 1) if ternary else (0, 1)),
+                                   min_size=height * width, max_size=height * width))
+        arr = np.array(cells, dtype=np.int8).reshape(height, width)
+        table = {"wide": WIDE_TABLE, "gappy": GAPPY_TABLE, "shipped": table32}[which]
+
+        def fast():
+            result = bdm_2d(arr, table, d)
+            return result.value, result.partition.blocks
+
+        assert _outcome(fast) == _outcome(lambda: reference_bdm_2d(arr, table, d))
 
 
 class TestFlatten:

@@ -127,6 +127,42 @@ class TestEvolveGol:
         assert np.array_equal(st_.cells[2], grid)
 
 
+def reference_gol_step(grid):
+    """B3/S23 by counting each cell's 8 toroidal neighbours directly."""
+    height, width = grid.shape
+    out = np.zeros_like(grid)
+    for r in range(height):
+        for c in range(width):
+            n = sum(
+                int(grid[(r + dr) % height, (c + dc) % width])
+                for dr in (-1, 0, 1)
+                for dc in (-1, 0, 1)
+                if (dr, dc) != (0, 0)
+            )
+            out[r, c] = n == 3 or (grid[r, c] == 1 and n == 2)
+    return out
+
+
+class TestGolReference:
+    @given(st.integers(3, 12), st.integers(3, 12), st.integers(1, 6), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_direct_neighbour_count(self, height, width, steps, data):
+        cells = data.draw(st.lists(st.integers(0, 1), min_size=height * width, max_size=height * width))
+        grid = np.array(cells, dtype=np.int8).reshape(height, width)
+        stack = evolve_gol(grid, steps).cells
+        for t in range(steps):
+            grid = reference_gol_step(grid)
+            assert np.array_equal(stack[t + 1], grid), f"step {t + 1}"
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 11), (11, 3), (3, 4), (5, 3)])
+    def test_thin_tori(self, shape):
+        grid = random_grid(sum(shape), shape[1], shape[0], 0.5, label="gol-oracle")
+        stack = evolve_gol(grid, 8).cells
+        for t in range(8):
+            grid = reference_gol_step(grid)
+            assert np.array_equal(stack[t + 1], grid), f"step {t + 1}"
+
+
 class TestRandomConfig:
     def test_density_one_all_ones(self):
         assert random_config(7, 4, 1.0).tolist() == [1, 1, 1, 1]

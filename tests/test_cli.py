@@ -105,6 +105,14 @@ class TestRun:
         assert run(["bdm", "--input", str(data)]) == 1
         assert message in capsys.readouterr().err
 
+    def test_bdm_ternary_coverage_error_hints(self, tmp_path, capsys):
+        data = tmp_path / "in.txt"
+        data.write_text("0120\n0101\n")
+        assert run(["bdm", "--input", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert "has no outputs of length 8" in err
+        assert "a grid with 2 cells makes 8-bit tiles at --d 2; try --d 1" in err
+
     def test_perturb_sweep_outputs_reproducible(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         args = ["perturb", "--rules", "30", "--width", "10", "--steps", "6", "--seeds", "2"]

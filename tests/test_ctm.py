@@ -18,6 +18,8 @@ from cabdm import (
     run_machine,
     save_table,
 )
+from cabdm import ctm
+from cabdm.parallel import _pmap
 
 COMPLEMENT = str.maketrans("01", "10")
 
@@ -217,12 +219,22 @@ class TestBuildTable:
     def test_chunk_size_does_not_matter(self, table22):
         assert build_table(2, chunk_size=77) == table22
 
-    def test_sampled_build(self):
+    def test_sampled_build(self, monkeypatch):
         sampled = build_table(2, sample=500, sample_seed=3)
         assert sampled.sampled and sampled.total == 500
         assert sampled == build_table(2, sample=500, sample_seed=3)
         assert sum(c for c, _ in sampled.entries.values()) == sampled.halting
         assert sampled == build_table(2, sample=500, sample_seed=3, workers=2, chunk_size=100)
+        # A sample below the default chunk size still gives each worker a chunk.
+        job_counts = []
+
+        def counting_pmap(fn, jobs, workers):
+            job_counts.append(len(jobs))
+            return _pmap(fn, jobs, workers)
+
+        monkeypatch.setattr(ctm, "_pmap", counting_pmap)
+        assert sampled == build_table(2, sample=500, sample_seed=3, workers=2)
+        assert job_counts == [2]
 
     def test_resource_guards(self):
         with pytest.raises(ValueError):
