@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bdm import partition_1d
+
 
 @dataclass(frozen=True)
 class LzwResult:
@@ -100,13 +102,9 @@ def shannon_block_entropy(s: str, b: int) -> float:
         raise ValueError("block length must be >= 1")
     if len(s) < b:
         raise ValueError(f"need at least one full block: |s|={len(s)} < b={b}")
-    counts: dict[str, int] = {}
     n_blocks = len(s) // b
-    for i in range(n_blocks):
-        block = s[i * b : (i + 1) * b]
-        counts[block] = counts.get(block, 0) + 1
     total = 0.0  # left-to-right, as in bdm._score: sum() rounds differently from 3.12
-    for c in counts.values():
+    for _, c in partition_1d(s[: n_blocks * b], b).blocks:
         total += c / n_blocks * math.log2(c / n_blocks)
     return -total
 

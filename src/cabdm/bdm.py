@@ -67,7 +67,7 @@ def flatten_ternary(arr) -> str:
     a = np.asarray(arr, dtype=np.int8)
     if a.size and not np.isin(a, (-1, 0, 1)).all():
         raise ValueError("array is not over {-1, 0, 1}")
-    return flatten_binary(_ternary_bits(a.reshape(-1)))
+    return _ternary_bits(a.reshape(-1)).tobytes().translate(_BYTES_TO_01).decode()
 
 
 def _ternary_bits(a: np.ndarray) -> np.ndarray:
@@ -112,11 +112,10 @@ def bdm_1d(s: str, table: CtmTable, b: int = DEFAULT_BLOCK_LEN_1D) -> BdmValue:
     return BdmValue(value=_score(counts, table), partition=partition)
 
 
-def bdm_2d(a, table: CtmTable, d: int = DEFAULT_BLOCK_SIDE_2D, ternary: bool | None = None) -> BdmValue:
+def bdm_2d(a, table: CtmTable, d: int = DEFAULT_BLOCK_SIDE_2D) -> BdmValue:
     """BDM of a 2D array tiled into d x d blocks (smaller ones at the edges).
 
-    ``ternary=None`` picks the encoding from the data: any -1 cell switches
-    to the two-bit expansion.
+    Any -1 cell switches the whole array to the two-bit ternary encoding.
     """
     arr = np.asarray(a, dtype=np.int8)
     if arr.ndim != 2:
@@ -125,47 +124,30 @@ def bdm_2d(a, table: CtmTable, d: int = DEFAULT_BLOCK_SIDE_2D, ternary: bool | N
         raise ValueError("block side must be >= 1")
     if arr.size == 0:
         raise ValueError("cannot decompose an empty array")
-    if ternary is None:
-        ternary = bool((arr == -1).any())
-    if ternary:
+    if (arr == -1).any():
         if not np.isin(arr, (-1, 0, 1)).all():
             raise ValueError("array is not over {-1, 0, 1}")
-        grid = _ternary_bits(arr)
-        cell = 2  # binary columns per original cell
+        grid, cell = _ternary_bits(arr), 2  # binary columns per original cell
     else:
         if not np.isin(arr, (0, 1)).all():
             raise ValueError("array is not binary")
-        grid = arr
-        cell = 1
+        grid, cell = arr, 1
 
     height, width = arr.shape
-    rows, cols = -(-height // d), -(-width // d)  # tiles per axis, edges included
-    full_rows, full_cols = height // d, width // d
-    bits = cell * d * d
-    # (row-major tile position, block, count): one entry per distinct
-    # full-tile block, at its first tile, and one per edge tile.
-    found: list[tuple[int, str, int]] = []
-    if bits <= 64:  # full tiles are packed into unsigned integer codes
-        tiles = (
-            grid.view(np.uint8)[: full_rows * d, : cell * full_cols * d]
-            .reshape(full_rows, d, full_cols, cell * d)
-            .swapaxes(1, 2)
-        )
-        codes = np.zeros((full_rows, full_cols), dtype=np.min_scalar_type((1 << bits) - 1))
-        for i in range(d):
-            for j in range(cell * d):
-                codes <<= 1
-                codes |= tiles[:, :, i, j]
-        uniq, first, n = np.unique(codes, return_index=True, return_counts=True)
-        pos = first // full_cols * cols + first % full_cols if full_cols else first
-        found += zip(pos.tolist(), (format(code, f"0{bits}b") for code in uniq.tolist()), n.tolist())
-        edges = [(r, full_cols) for r in range(full_rows) if full_cols < cols]
-        edges += [(full_rows, c) for c in range(cols) if full_rows < rows]
-    else:
-        edges = [(r, c) for r in range(rows) for c in range(cols)]
-    for r, c in edges:
-        tile = grid[r * d : (r + 1) * d, cell * c * d : cell * (c + 1) * d]
-        found.append((r * cols + c, tile.tobytes().translate(_BYTES_TO_01).decode(), 1))
+    cols = -(-width // d)  # tiles per row, edge included
+    # The tiles fall into at most four groups of one shape each: full tiles,
+    # right-edge column, bottom-edge row and corner; each is (start, tiles, side).
+    row_groups = [(0, height // d, d), (height - height % d, 1, height % d)]
+    col_groups = [(0, width // d, d), (width - width % d, 1, width % d)]
+    found: list[tuple[int, str, int]] = []  # (row-major tile position, block, count)
+    for r0, nr, tr in row_groups:
+        for c0, nc, tc in col_groups:
+            if nr * tr * nc * tc == 0:
+                continue
+            group = grid.view(np.uint8)[r0 : r0 + nr * tr, cell * c0 : cell * (c0 + nc * tc)]
+            tiles = group.reshape(nr, tr, nc, cell * tc).swapaxes(1, 2)
+            for k, block, n in _count_tiles(tiles):
+                found.append(((r0 // d + k // nc) * cols + c0 // d + k % nc, block, n))
     str_counts: dict[str, int] = {}
     for _, block, n in sorted(found):
         str_counts[block] = str_counts.get(block, 0) + n
@@ -175,3 +157,23 @@ def bdm_2d(a, table: CtmTable, d: int = DEFAULT_BLOCK_SIDE_2D, ternary: bool | N
         remainder=(height % d) * width + (width % d) * (height - height % d),
     )
     return BdmValue(value=_score(str_counts, table), partition=partition)
+
+
+def _count_tiles(tiles: np.ndarray) -> list[tuple[int, str, int]]:
+    """Distinct tiles of an (nr, nc, tr, tc) view of 0/1 cells, as
+    (row-major index of the first such tile, its block, its count)."""
+    nr, nc, tr, tc = tiles.shape
+    bits = tr * tc
+    if bits <= 64:  # pack each tile into one unsigned code, straight from the view
+        codes = np.zeros((nr, nc), dtype=np.min_scalar_type((1 << bits) - 1))
+        for i in range(tr):
+            for j in range(tc):
+                codes <<= 1
+                codes |= tiles[:, :, i, j]
+        _, first, n = np.unique(codes, return_index=True, return_counts=True)
+    else:
+        _, first, n = np.unique(tiles.reshape(nr * nc, bits), axis=0, return_index=True, return_counts=True)
+    return [
+        (k, tiles[k // nc, k % nc].tobytes().translate(_BYTES_TO_01).decode(), c)
+        for k, c in zip(first.tolist(), n.tolist())
+    ]

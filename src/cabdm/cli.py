@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -18,7 +19,9 @@ import numpy as np
 
 from . import bdm
 from .ca import evolve_eca, evolve_gol, random_config, rule_table
-from .collision import collision_experiment, evolve_interacting, sample_interaction_rule, collision_initial_state
+from .collision import (
+    CollisionReport, collision_experiment, evolve_interacting, sample_interaction_rule, collision_initial_state
+)
 from .ctm import DEFAULT_CUTOFF, CoverageError, build_table, default_table, load_table, save_table
 from .perturbation import gol_perturbation, perturbation_sweep, perturbation_trace
 
@@ -243,19 +246,8 @@ def _cmd_collide(args) -> int:
         args.rule_a, args.rule_b, args.gap, args.steps, args.n_rules, table, args.b
     )
     emit_csv(
-        (
-            (
-                r.rule_a, r.rule_b, r.interaction_seed,
-                r.bdm_collision, r.bdm_a_iso, r.bdm_b_iso, r.delta_bdm_a, r.delta_bdm_b,
-                r.lzw_collision, r.lzw_a_iso, r.lzw_b_iso, r.delta_lzw_a, r.delta_lzw_b,
-            )
-            for r in reports
-        ),
-        (
-            "rule_a", "rule_b", "interaction_seed",
-            "bdm_collision", "bdm_a_iso", "bdm_b_iso", "delta_bdm_a", "delta_bdm_b",
-            "lzw_collision", "lzw_a_iso", "lzw_b_iso", "delta_lzw_a", "delta_lzw_b",
-        ),
+        (dataclasses.astuple(r) for r in reports),
+        [field.name for field in dataclasses.fields(CollisionReport)],
         os.path.join(args.out, "collision.csv"),
         echo,
     )

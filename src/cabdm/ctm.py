@@ -45,6 +45,8 @@ from .parallel import _pmap
 from .rng import Stream
 
 DEFAULT_CUTOFF = 107  # sound for n <= 4: no (4,2) machine halts later
+# Tape bytes one chunk may hold: 2^18 machines at the default cutoff.
+_TAPE_BYTES = (1 << 18) * (2 * DEFAULT_CUTOFF + 1)
 ENV_TABLE_DIR = "CABDM_TABLE_DIR"
 
 _COMPLEMENT = str.maketrans("01", "10")
@@ -223,9 +225,7 @@ def _simulate_array(n: int, cutoff: int, indices) -> tuple[Counter, int, int]:
 
 def max_halting_steps(n: int, k: int = 2, cutoff: int = DEFAULT_CUTOFF) -> int:
     """Largest step count of any halting machine in the class (<= cutoff)."""
-    _, jobs = _machine_jobs(
-        n, k, cutoff, sample=None, sample_seed=0, allow_long_run=True, chunk_size=1 << 18, workers=1
-    )
+    _, jobs = _machine_jobs(n, k, cutoff, sample=None, sample_seed=0, allow_long_run=True, workers=1)
     return max(_simulate_array(n, cutoff, job)[2] for job in jobs)
 
 
@@ -297,13 +297,16 @@ def _stratified_sample(total: int, size: int, seed: int) -> np.ndarray:
     return np.asarray(picks, dtype=np.int64)
 
 
-def _machine_jobs(n, k, cutoff, sample, sample_seed, allow_long_run, chunk_size, workers):
+def _machine_jobs(n, k, cutoff, sample, sample_seed, allow_long_run, workers):
     """(machines covered, index chunks): contiguous ranges of the whole
     class, or consecutive slices of a stratified sample of it, cut small
-    enough that every worker gets a chunk."""
+    enough that every worker gets a chunk and their tapes fit in _TAPE_BYTES."""
     _check_class(n, k)
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
+    tape = 2 * cutoff + 1
+    if tape > _TAPE_BYTES:
+        raise ValueError(f"cutoff {cutoff} needs a {tape}-byte tape, over the {_TAPE_BYTES}-byte limit")
     total_class = class_size(n, k)
     if sample is None:
         if n > 4:
@@ -321,7 +324,7 @@ def _machine_jobs(n, k, cutoff, sample, sample_seed, allow_long_run, chunk_size,
         if not 1 <= sample <= total_class:
             raise ValueError(f"sample size must be in [1, {total_class}]")
         indices = _stratified_sample(total_class, sample, sample_seed)
-    size = min(chunk_size, -(-len(indices) // max(workers, 1)))
+    size = min(1 << 18, _TAPE_BYTES // tape, -(-len(indices) // max(workers, 1)))
     return len(indices), [indices[lo : lo + size] for lo in range(0, len(indices), size)]
 
 
@@ -333,17 +336,17 @@ def build_table(
     sample: int | None = None,
     sample_seed: int = 0,
     allow_long_run: bool = False,
-    chunk_size: int = 1 << 18,
 ) -> CtmTable:
     """Enumerate (or sample) the machine class and tally halting outputs.
 
     The machines are cut into chunks of consecutive indices (or of
-    consecutive sample entries), at most ``chunk_size`` long and short
-    enough to give every worker one; chunks may be simulated by any number of
-    worker processes, and because merging counts is a commutative integer
-    sum the resulting table does not depend on ``workers`` or scheduling.
+    consecutive sample entries), of at most 2^18 default-cutoff tapes and
+    short enough to give every worker one; a cutoff longer than that budget
+    raises ValueError.  Chunks may be simulated by any number of worker
+    processes, and because merging counts is a commutative integer sum the
+    resulting table does not depend on ``workers`` or scheduling.
     """
-    total, jobs = _machine_jobs(n, k, cutoff, sample, sample_seed, allow_long_run, chunk_size, workers)
+    total, jobs = _machine_jobs(n, k, cutoff, sample, sample_seed, allow_long_run, workers)
     raw: Counter = Counter()
     halting_machines = 0
     for part, halted, _ in _pmap(partial(_simulate_array, n, cutoff), jobs, workers):

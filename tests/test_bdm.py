@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cabdm import CoverageError, bdm_1d, bdm_2d, flatten_binary, flatten_ternary, partition_1d
@@ -25,14 +25,15 @@ def table9():
 
 
 def _wide_counts():
-    """All strings up to length 8, then three per length up to 32 (enough
-    for ternary 4x4 tiles), each with its own count."""
+    """All strings up to length 8, then three per length up to 162 (enough
+    for ternary 9x9 tiles, wider than a 64-bit code), each with its own
+    count."""
     counts = {}
     for length in range(1, 9):
         for bits in product("01", repeat=length):
             s = "".join(bits)
             counts[s] = 1 + int(s, 2) * 7919 % 97
-    for length in range(9, 33):
+    for length in range(9, 163):
         for j, s in enumerate(("0" * length, "1" * length, ("01" * length)[:length])):
             counts[s] = 3 + j
     return counts
@@ -179,8 +180,9 @@ class TestBdm2d:
         assert bdm_2d(arr, table9, 2).value == table9.lookup("01100000")
 
     def test_ternary_detection_matches_explicit(self, table9):
+        # One -1 cell spells every cell in two bits: rows "011000", "000101".
         arr = np.array([[1, -1, 0], [0, 1, 1]])
-        assert bdm_2d(arr, table9, 2).value == bdm_2d(arr, table9, 2, ternary=True).value
+        assert bdm_2d(arr, table9, 2).value == table9.lookup("01100001") + table9.lookup("0001")
 
     def test_uncoverable_side_raises(self, table32):
         with pytest.raises(CoverageError):
@@ -193,16 +195,22 @@ class TestBdm2d:
     @given(
         st.integers(1, 20),
         st.integers(1, 20),
-        st.integers(1, 4),
+        st.integers(1, 9),
         st.booleans(),
         st.sampled_from(["wide", "gappy", "shipped"]),
-        st.data(),
+        st.lists(st.sampled_from((-1, 0, 1)), min_size=1, max_size=400),
     )
+    # Tiles over 64 bits: a binary grid at d=9 whose four full tiles differ
+    # only in late cells, and a ternary grid at d=6.
+    @example(20, 20, 9, False, "wide", [0] * 177 + [1])
+    @example(19, 13, 6, True, "gappy", [0] * 40 + [-1])
     @settings(max_examples=300, deadline=None)
-    def test_matches_per_tile_reference(self, table32, height, width, d, ternary, which, data):
-        cells = data.draw(st.lists(st.sampled_from((-1, 0, 1) if ternary else (0, 1)),
-                                   min_size=height * width, max_size=height * width))
-        arr = np.array(cells, dtype=np.int8).reshape(height, width)
+    def test_matches_per_tile_reference(self, table32, height, width, d, ternary, which, cells):
+        # The cells repeat over the array, which gives equal and nearly equal
+        # tiles even at widths random cells almost never repeat at.
+        arr = np.resize(np.array(cells, dtype=np.int8), (height, width))
+        if not ternary:
+            arr = np.abs(arr)
         table = {"wide": WIDE_TABLE, "gappy": GAPPY_TABLE, "shipped": table32}[which]
 
         def fast():

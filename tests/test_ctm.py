@@ -19,6 +19,7 @@ from cabdm import (
     save_table,
 )
 from cabdm import ctm
+from cabdm.cli import run
 from cabdm.parallel import _pmap
 
 COMPLEMENT = str.maketrans("01", "10")
@@ -209,22 +210,26 @@ class TestSaveLoad:
 
 
 class TestBuildTable:
-    def test_worker_counts_agree_byte_for_byte(self, table22, tmp_path):
-        parallel = build_table(2, workers=2, chunk_size=1000)
+    def test_worker_counts_agree_byte_for_byte(self, table22, tmp_path, monkeypatch):
+        monkeypatch.setattr(ctm, "_TAPE_BYTES", 1000 * (2 * ctm.DEFAULT_CUTOFF + 1))  # chunks of 1000
+        parallel = build_table(2, workers=2)
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         save_table(table22, a)
         save_table(parallel, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_chunk_size_does_not_matter(self, table22):
-        assert build_table(2, chunk_size=77) == table22
+    def test_chunk_size_does_not_matter(self, table22, monkeypatch):
+        monkeypatch.setattr(ctm, "_TAPE_BYTES", 77 * (2 * ctm.DEFAULT_CUTOFF + 1))  # chunks of 77
+        assert build_table(2) == table22
 
     def test_sampled_build(self, monkeypatch):
         sampled = build_table(2, sample=500, sample_seed=3)
         assert sampled.sampled and sampled.total == 500
         assert sampled == build_table(2, sample=500, sample_seed=3)
         assert sum(c for c, _ in sampled.entries.values()) == sampled.halting
-        assert sampled == build_table(2, sample=500, sample_seed=3, workers=2, chunk_size=100)
+        with monkeypatch.context() as m:
+            m.setattr(ctm, "_TAPE_BYTES", 100 * (2 * ctm.DEFAULT_CUTOFF + 1))  # chunks of 100
+            assert sampled == build_table(2, sample=500, sample_seed=3, workers=2)
         # A sample below the default chunk size still gives each worker a chunk.
         job_counts = []
 
@@ -245,6 +250,23 @@ class TestBuildTable:
             build_table(2, cutoff=0)
         with pytest.raises(ValueError):
             build_table(2, k=3)
+
+    def test_cutoff_over_tape_limit_rejected_before_allocating(self, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("allocated before the cutoff check")
+
+        monkeypatch.setattr(ctm, "_simulate_array", must_not_run)
+        monkeypatch.setattr(ctm, "_stratified_sample", must_not_run)
+        too_long = ctm._TAPE_BYTES // 2  # tape of 2 * cutoff + 1 cells, one over the limit
+        for build in (lambda: build_table(2, cutoff=too_long),
+                      lambda: build_table(5, cutoff=too_long, sample=10),
+                      lambda: max_halting_steps(2, cutoff=too_long)):
+            with pytest.raises(ValueError, match="tape"):
+                build()
+        assert run(["ctm-build", "--n", "2", "--cutoff", str(too_long)]) == 1
+        # One tape below the limit is accepted, one machine per chunk.
+        _, jobs = ctm._machine_jobs(2, 2, too_long - 1, None, 0, False, 1)
+        assert len(jobs) == class_size(2) and len(jobs[0]) == 1
 
     def test_guard_lifts_with_sample_flag(self):
         table = build_table(5, sample=50, cutoff=20)
