@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bdm import partition_1d
+from .ca import _cells
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,7 @@ def lzw_decompress(codes) -> bytes:
 
 def serialize_cells(cells) -> bytes:
     """Row-major ASCII digits of a cell array; -1 is written as '2'."""
-    arr = np.ascontiguousarray(np.asarray(cells, dtype=np.int8))
-    if arr.size and not np.isin(arr, (-1, 0, 1)).all():
-        raise ValueError("cells must be over {-1, 0, 1}")
+    arr = _cells(cells, (-1, 0, 1))
     digits = np.where(arr == -1, np.int8(2), arr).astype(np.uint8) + ord("0")
     return digits.tobytes()
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ca import _cells
 from .ctm import CtmTable
 
 DEFAULT_BLOCK_LEN_1D = 6
@@ -56,18 +57,12 @@ class BdmValue:
 
 def flatten_binary(arr) -> str:
     """Row-major 0/1 string of a binary array of any dimension."""
-    a = np.ascontiguousarray(np.asarray(arr, dtype=np.int8))
-    if a.size and not np.isin(a, (0, 1)).all():
-        raise ValueError("array is not binary")
-    return a.tobytes().translate(_BYTES_TO_01).decode()
+    return _cells(arr, (0, 1)).tobytes().translate(_BYTES_TO_01).decode()
 
 
 def flatten_ternary(arr) -> str:
     """Row-major string of a {-1,0,1} array, two bits per cell."""
-    a = np.asarray(arr, dtype=np.int8)
-    if a.size and not np.isin(a, (-1, 0, 1)).all():
-        raise ValueError("array is not over {-1, 0, 1}")
-    return _ternary_bits(a.reshape(-1)).tobytes().translate(_BYTES_TO_01).decode()
+    return _ternary_bits(_cells(arr, (-1, 0, 1)).reshape(-1)).tobytes().translate(_BYTES_TO_01).decode()
 
 
 def _ternary_bits(a: np.ndarray) -> np.ndarray:
@@ -117,20 +112,14 @@ def bdm_2d(a, table: CtmTable, d: int = DEFAULT_BLOCK_SIDE_2D) -> BdmValue:
 
     Any -1 cell switches the whole array to the two-bit ternary encoding.
     """
-    arr = np.asarray(a, dtype=np.int8)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2D array, got shape {arr.shape}")
+    arr = _cells(a, (-1, 0, 1), 2)
     if d < 1:
         raise ValueError("block side must be >= 1")
     if arr.size == 0:
         raise ValueError("cannot decompose an empty array")
     if (arr == -1).any():
-        if not np.isin(arr, (-1, 0, 1)).all():
-            raise ValueError("array is not over {-1, 0, 1}")
         grid, cell = _ternary_bits(arr), 2  # binary columns per original cell
     else:
-        if not np.isin(arr, (0, 1)).all():
-            raise ValueError("array is not binary")
         grid, cell = arr, 1
 
     height, width = arr.shape

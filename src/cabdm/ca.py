@@ -15,20 +15,31 @@ import numpy as np
 from .rng import Stream
 
 
-def _as_cells(values, ndim_expected=None) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int8)
-    if ndim_expected is not None and arr.ndim != ndim_expected:
-        raise ValueError(f"expected a {ndim_expected}-dimensional configuration, got shape {arr.shape}")
-    return arr
+def _cells(values, alphabet, ndim=None) -> np.ndarray:
+    """``values`` as an int8 cell array, checked against ``alphabet`` before
+    the cast, so that 256 or 0.5 is rejected instead of read as a 0."""
+    raw = np.asarray(values)
+    if ndim is not None and raw.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-dimensional configuration, got shape {raw.shape}")
+    if raw.size and not np.isin(raw, alphabet).all():
+        raise ValueError(f"cells must be over {{{', '.join(map(str, alphabet))}}}")
+    return raw.astype(np.int8, copy=False)
 
 
-def _require_binary(arr: np.ndarray, what: str = "configuration") -> None:
-    if arr.size and not np.isin(arr, (0, 1)).all():
-        raise ValueError(f"{what} must contain only 0/1 cells")
+class _TableRule:
+    """A radius-1 rule stepped through its outcome table: a 2x2x2 (binary)
+    or 3x3x3 (ternary) array indexed by the cell values themselves, where
+    numpy reads a -1 cell as the last slot."""
+
+    _lut: np.ndarray
+
+    def step(self, row: np.ndarray) -> np.ndarray:
+        """One synchronous update of a cyclic row."""
+        return self._lut[np.roll(row, 1), row, np.roll(row, -1)]
 
 
 @dataclass(frozen=True)
-class EcaRule:
+class EcaRule(_TableRule):
     """An elementary (radius-1, binary) local rule under Wolfram numbering.
 
     Bit i of ``number`` is the outcome for the neighborhood whose value is
@@ -38,12 +49,6 @@ class EcaRule:
     number: int
     table: dict[tuple[int, int, int], int] = field(compare=False)
     _lut: np.ndarray = field(compare=False, repr=False)
-
-    def step(self, row: np.ndarray) -> np.ndarray:
-        """One synchronous update of a cyclic row."""
-        left = np.roll(row, 1)
-        right = np.roll(row, -1)
-        return self._lut[left, row, right]
 
     def mirror(self) -> "EcaRule":
         """The left-right conjugate rule (neighborhoods read backwards)."""
@@ -71,19 +76,22 @@ def rule_table(number: int) -> EcaRule:
     return EcaRule(number=number, table=table, _lut=lut)
 
 
+def _eca_rule(rule: EcaRule | int) -> EcaRule:
+    """A rule number or an ``EcaRule``, as an ``EcaRule``."""
+    return rule if isinstance(rule, EcaRule) else rule_table(rule)
+
+
 @dataclass
 class Spacetime:
     """A full evolution: row t of ``cells`` is the configuration at time t.
 
     ``cells`` is (steps+1, width) for 1D automata or (steps+1, height,
     width) for 2D ones.  ``rule`` keeps the object that produced it (any
-    engine with a ``step`` method, so the evolution can be re-verified),
-    ``seed`` the seed of the initial configuration when one was drawn.
+    engine with a ``step`` method, so the evolution can be re-verified).
     """
 
     cells: np.ndarray
     rule: object | None = None
-    seed: int | None = None
 
     @property
     def steps(self) -> int:
@@ -103,7 +111,7 @@ class Spacetime:
         return True
 
 
-def _evolve(rule, init: np.ndarray, steps: int, seed: int | None = None) -> Spacetime:
+def _evolve(rule, init: np.ndarray, steps: int) -> Spacetime:
     """Apply ``rule.step`` ``steps`` times to a validated initial state."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -111,16 +119,12 @@ def _evolve(rule, init: np.ndarray, steps: int, seed: int | None = None) -> Spac
     out[0] = init
     for t in range(steps):
         out[t + 1] = rule.step(out[t])
-    return Spacetime(cells=out, rule=rule, seed=seed)
+    return Spacetime(cells=out, rule=rule)
 
 
 def evolve_eca(rule: EcaRule | int, init, steps: int) -> Spacetime:
     """Evolve a cyclic binary row for ``steps`` updates (steps+1 rows out)."""
-    if isinstance(rule, (int, np.integer)):
-        rule = rule_table(rule)
-    row = _as_cells(init, 1)
-    _require_binary(row, "initial configuration")
-    return _evolve(rule, row, steps)
+    return _evolve(_eca_rule(rule), _cells(init, (0, 1), 1), steps)
 
 
 class _GolRule:
@@ -143,8 +147,7 @@ GOL_RULE = _GolRule()
 
 def evolve_gol(init, steps: int) -> Spacetime:
     """Evolve a toroidal Game of Life grid; returns a (steps+1, h, w) stack."""
-    grid = _as_cells(init, 2)
-    _require_binary(grid, "initial grid")
+    grid = _cells(init, (0, 1), 2)
     if grid.shape[0] < 3 or grid.shape[1] < 3:
         raise ValueError(f"grid must be at least 3x3, got {grid.shape}")
     return _evolve(GOL_RULE, grid, steps)
@@ -178,8 +181,7 @@ def random_grid(seed: int, width: int, height: int, density: float, label: str =
 
 def flip_cell(config, index) -> np.ndarray:
     """Copy of ``config`` with the cell at ``index`` complemented (0 <-> 1)."""
-    arr = _as_cells(config).copy()
-    _require_binary(arr)
+    arr = _cells(config, (0, 1)).copy()
     idx = tuple(index) if isinstance(index, (tuple, list)) else (int(index),)
     if len(idx) != arr.ndim:
         raise IndexError(f"index {index!r} does not address a {arr.ndim}-dimensional configuration")

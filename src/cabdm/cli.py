@@ -105,14 +105,13 @@ def _parse_rules(text):
 def _cmd_ctm_build(args) -> int:
     table = build_table(
         n=args.n,
-        k=args.k,
         cutoff=args.cutoff,
         workers=args.workers,
         sample=args.sample,
         sample_seed=args.sample_seed,
         allow_long_run=args.allow_long_run,
     )
-    out = args.out or f"ctm_{args.n}_{args.k}.txt"
+    out = args.out or f"ctm_{args.n}_2.txt"
     save_table(table, out)
     print(f"wrote {out}: {len(table.entries)} outputs, halting={table.halting}, total={table.total}")
     return 0
@@ -314,10 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ctm-build", help="enumerate a machine class and write its output table")
     p.add_argument("--n", type=int, required=True, help="number of machine states")
-    p.add_argument("--k", type=int, default=2, help="tape symbols (only 2 supported)")
     p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF, help="halting cutoff in steps")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default=None, help="table path (default ctm_<n>_<k>.txt)")
+    p.add_argument("--out", default=None, help="table path (default ctm_<n>_2.txt)")
     p.add_argument("--sample", type=int, default=None, help="index-stratified sample size")
     p.add_argument("--sample-seed", type=int, default=0)
     p.add_argument("--allow-long-run", action="store_true", help="permit full (4,2) enumeration")

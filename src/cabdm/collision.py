@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bdm
 from .baselines import compressed_size
-from .ca import EcaRule, Spacetime, _evolve, evolve_eca, rule_table
+from .ca import EcaRule, Spacetime, _cells, _eca_rule, _evolve, _TableRule, evolve_eca
 from .ctm import CtmTable
 from .rng import Stream
 
@@ -34,45 +34,31 @@ MIXED_NEIGHBORHOODS: tuple[tuple[int, int, int], ...] = tuple(
 
 
 @dataclass(frozen=True, eq=False)
-class InteractionRule:
+class InteractionRule(_TableRule):
     rule_a: EcaRule
     rule_b: EcaRule
     mixed_outcomes: dict[tuple[int, int, int], int]
     seed: int
     zero_conflict: bool
-    _lut: np.ndarray  # (3,3,3) outcome table indexed by cell value + 1
-
-    def step(self, row: np.ndarray) -> np.ndarray:
-        left = np.roll(row, 1)
-        right = np.roll(row, -1)
-        return self._lut[left + 1, row + 1, right + 1] - 1
+    _lut: np.ndarray  # (3,3,3) outcome table indexed by cell value
 
 
 def sample_interaction_rule(rule_a: EcaRule | int, rule_b: EcaRule | int, seed: int) -> InteractionRule:
     """Draw the mixed-neighborhood outcomes for a rule pair from a stream."""
-    if isinstance(rule_a, (int, np.integer)):
-        rule_a = rule_table(rule_a)
-    if isinstance(rule_b, (int, np.integer)):
-        rule_b = rule_table(rule_b)
+    rule_a, rule_b = _eca_rule(rule_a), _eca_rule(rule_b)
     stream = Stream(INTERACTION_LABEL, seed)
     mixed = {nbhd: stream.next_below(3) - 1 for nbhd in MIXED_NEIGHBORHOODS}
 
     zero_a = rule_a.table[(0, 0, 0)]
     zero_b = -rule_b.table[(0, 0, 0)]
     zero_conflict = zero_a != zero_b
-    zero_outcome = stream.next_below(3) - 1 if zero_conflict else zero_a
 
     lut = np.zeros((3, 3, 3), dtype=np.int8)
-    for nbhd in product((-1, 0, 1), repeat=3):
-        if nbhd == (0, 0, 0):
-            outcome = zero_outcome
-        elif 1 in nbhd and -1 in nbhd:
-            outcome = mixed[nbhd]
-        elif -1 not in nbhd:
-            outcome = rule_a.table[nbhd]
-        else:
-            outcome = -rule_b.table[tuple(-v for v in nbhd)]
-        lut[nbhd[0] + 1, nbhd[1] + 1, nbhd[2] + 1] = outcome + 1
+    lut[:2, :2, :2] = rule_a._lut
+    lut[np.ix_((0, 2), (0, 2), (0, 2))] = -rule_b._lut  # slot 2 holds -1 cells
+    for nbhd, outcome in mixed.items():
+        lut[nbhd] = outcome
+    lut[0, 0, 0] = stream.next_below(3) - 1 if zero_conflict else zero_a
     return InteractionRule(
         rule_a=rule_a,
         rule_b=rule_b,
@@ -85,12 +71,7 @@ def sample_interaction_rule(rule_a: EcaRule | int, rule_b: EcaRule | int, seed: 
 
 def evolve_interacting(rule: InteractionRule, init, steps: int) -> Spacetime:
     """Evolve a cyclic ternary row under an interaction rule."""
-    row = np.asarray(init, dtype=np.int8)
-    if row.ndim != 1:
-        raise ValueError(f"expected a 1D configuration, got shape {row.shape}")
-    if row.size and not np.isin(row, (-1, 0, 1)).all():
-        raise ValueError("initial configuration must be over {-1, 0, 1}")
-    return _evolve(rule, row, steps, seed=rule.seed)
+    return _evolve(rule, _cells(init, (-1, 0, 1), 1), steps)
 
 
 @dataclass(frozen=True)

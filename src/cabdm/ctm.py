@@ -45,7 +45,8 @@ from .parallel import _pmap
 from .rng import Stream
 
 DEFAULT_CUTOFF = 107  # sound for n <= 4: no (4,2) machine halts later
-# Tape bytes one chunk may hold: 2^18 machines at the default cutoff.
+# Bytes one chunk's tapes, or a sample's int64 indices, may take: 2^18
+# tapes at the default cutoff.
 _TAPE_BYTES = (1 << 18) * (2 * DEFAULT_CUTOFF + 1)
 ENV_TABLE_DIR = "CABDM_TABLE_DIR"
 
@@ -86,14 +87,12 @@ class RunOutcome:
     output: str | None
 
 
-def class_size(n: int, k: int = 2) -> int:
-    _check_class(n, k)
+def class_size(n: int) -> int:
+    _check_class(n)
     return (4 * n + 2) ** (2 * n)
 
 
-def _check_class(n: int, k: int) -> None:
-    if k != 2:
-        raise ValueError(f"only k=2 machine classes are supported, got k={k}")
+def _check_class(n: int) -> None:
     if n < 1:
         raise ValueError(f"state count must be >= 1, got {n}")
 
@@ -114,19 +113,19 @@ def _transition_to_digit(t: Transition, n: int) -> int:
     return (t.next_state - 1) * 4 + (0 if t.move == "L" else 2) + t.write
 
 
-def decode_machine(index: int, n: int, k: int = 2) -> TuringMachine:
+def decode_machine(index: int, n: int) -> TuringMachine:
     """Inverse of ``machine_index``: digits become transition entries."""
-    _check_class(n, k)
-    if not 0 <= index < class_size(n, k):
-        raise ValueError(f"machine index {index} outside class of size {class_size(n, k)}")
+    _check_class(n)
+    if not 0 <= index < class_size(n):
+        raise ValueError(f"machine index {index} outside class of size {class_size(n)}")
     base = 4 * n + 2
     transitions = {}
     x = index
     for q in range(1, n + 1):
-        for a in range(k):
+        for a in range(2):
             transitions[(q, a)] = _digit_to_transition(x % base, n)
             x //= base
-    return TuringMachine(states=n, symbols=k, machine_index=index, transitions=transitions)
+    return TuringMachine(states=n, symbols=2, machine_index=index, transitions=transitions)
 
 
 def encode_machine(machine: TuringMachine) -> int:
@@ -138,10 +137,10 @@ def encode_machine(machine: TuringMachine) -> int:
     return index
 
 
-def enumerate_machines(n: int, k: int = 2) -> Iterator[TuringMachine]:
+def enumerate_machines(n: int) -> Iterator[TuringMachine]:
     """Yield every machine of the class once, in ascending index order."""
-    for index in range(class_size(n, k)):
-        yield decode_machine(index, n, k)
+    for index in range(class_size(n)):
+        yield decode_machine(index, n)
 
 
 def run_machine(machine: TuringMachine, cutoff: int) -> RunOutcome:
@@ -223,9 +222,9 @@ def _simulate_array(n: int, cutoff: int, indices) -> tuple[Counter, int, int]:
     return counts, int(halted.sum()), max_steps
 
 
-def max_halting_steps(n: int, k: int = 2, cutoff: int = DEFAULT_CUTOFF) -> int:
+def max_halting_steps(n: int, cutoff: int = DEFAULT_CUTOFF) -> int:
     """Largest step count of any halting machine in the class (<= cutoff)."""
-    _, jobs = _machine_jobs(n, k, cutoff, sample=None, sample_seed=0, allow_long_run=True, workers=1)
+    _, jobs = _machine_jobs(n, cutoff, sample=None, sample_seed=0, allow_long_run=True, workers=1)
     return max(_simulate_array(n, cutoff, job)[2] for job in jobs)
 
 
@@ -292,22 +291,25 @@ class CtmTable:
 def _stratified_sample(total: int, size: int, seed: int) -> np.ndarray:
     """One uniform index per stratum of an even partition of the class."""
     stream = Stream("ctm-sample", seed)
-    bounds = [i * total // size for i in range(size + 1)]
-    picks = [lo + stream.next_below(hi - lo) for lo, hi in zip(bounds, bounds[1:])]
-    return np.asarray(picks, dtype=np.int64)
+
+    def pick(i):
+        lo, hi = i * total // size, (i + 1) * total // size
+        return lo + stream.next_below(hi - lo)
+
+    return np.fromiter(map(pick, range(size)), dtype=np.int64, count=size)
 
 
-def _machine_jobs(n, k, cutoff, sample, sample_seed, allow_long_run, workers):
+def _machine_jobs(n, cutoff, sample, sample_seed, allow_long_run, workers):
     """(machines covered, index chunks): contiguous ranges of the whole
     class, or consecutive slices of a stratified sample of it, cut small
     enough that every worker gets a chunk and their tapes fit in _TAPE_BYTES."""
-    _check_class(n, k)
+    _check_class(n)
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     tape = 2 * cutoff + 1
     if tape > _TAPE_BYTES:
         raise ValueError(f"cutoff {cutoff} needs a {tape}-byte tape, over the {_TAPE_BYTES}-byte limit")
-    total_class = class_size(n, k)
+    total_class = class_size(n)
     if sample is None:
         if n > 4:
             raise ValueError(
@@ -323,6 +325,8 @@ def _machine_jobs(n, k, cutoff, sample, sample_seed, allow_long_run, workers):
     else:
         if not 1 <= sample <= total_class:
             raise ValueError(f"sample size must be in [1, {total_class}]")
+        if 8 * sample > _TAPE_BYTES:  # one int64 index per sampled machine
+            raise ValueError(f"sample of {sample} machines is over the {_TAPE_BYTES // 8}-machine limit")
         indices = _stratified_sample(total_class, sample, sample_seed)
     size = min(1 << 18, _TAPE_BYTES // tape, -(-len(indices) // max(workers, 1)))
     return len(indices), [indices[lo : lo + size] for lo in range(0, len(indices), size)]
@@ -330,7 +334,6 @@ def _machine_jobs(n, k, cutoff, sample, sample_seed, allow_long_run, workers):
 
 def build_table(
     n: int,
-    k: int = 2,
     cutoff: int = DEFAULT_CUTOFF,
     workers: int = 1,
     sample: int | None = None,
@@ -341,12 +344,13 @@ def build_table(
 
     The machines are cut into chunks of consecutive indices (or of
     consecutive sample entries), of at most 2^18 default-cutoff tapes and
-    short enough to give every worker one; a cutoff longer than that budget
-    raises ValueError.  Chunks may be simulated by any number of worker
-    processes, and because merging counts is a commutative integer sum the
-    resulting table does not depend on ``workers`` or scheduling.
+    short enough to give every worker one; a cutoff longer than that budget,
+    or a sample whose int64 indices exceed it, raises ValueError.  Chunks
+    may be simulated by any number of worker processes, and because merging
+    counts is a commutative integer sum the resulting table does not depend
+    on ``workers`` or scheduling.
     """
-    total, jobs = _machine_jobs(n, k, cutoff, sample, sample_seed, allow_long_run, workers)
+    total, jobs = _machine_jobs(n, cutoff, sample, sample_seed, allow_long_run, workers)
     raw: Counter = Counter()
     halting_machines = 0
     for part, halted, _ in _pmap(partial(_simulate_array, n, cutoff), jobs, workers):
@@ -359,11 +363,11 @@ def build_table(
         counts[s.translate(_COMPLEMENT)] += c
     halting = 2 * halting_machines
     if halting == 0:
-        raise RuntimeError(f"no machine of the ({n},{k}) class halted within {cutoff} steps")
+        raise RuntimeError(f"no machine of the ({n},2) class halted within {cutoff} steps")
     entries = {s: (c, -math.log2(c / halting)) for s, c in counts.items()}
     return CtmTable(
         n=n,
-        k=k,
+        k=2,
         cutoff=cutoff,
         total=total,
         halting=halting,
@@ -443,9 +447,9 @@ def load_table(path) -> CtmTable:
     return CtmTable(n=n, k=k, cutoff=cutoff, total=total, halting=halting, entries=entries, sampled=sampled)
 
 
-def default_table(n: int = 3, k: int = 2):
+def default_table(n: int = 3):
     """Locate the default table: $CABDM_TABLE_DIR first, then package data."""
-    name = f"ctm_{n}_{k}.txt"
+    name = f"ctm_{n}_2.txt"
     env_dir = os.environ.get(ENV_TABLE_DIR)
     if env_dir:
         candidate = os.path.join(env_dir, name)

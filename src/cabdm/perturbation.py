@@ -170,11 +170,11 @@ def perturbation_trace(
     init = random_config(seed, width, density, label=INIT_LABEL)
     base = evolve_eca(rule, init, steps)
     perturbed = evolve_eca(rule, flip_cell(init, flip), steps)
+    flat0, flat1 = bdm.flatten_binary(base.cells), bdm.flatten_binary(perturbed.cells)
     trace = []
     for t in range(steps + 1):
-        v0 = bdm.bdm_1d(bdm.flatten_binary(base.cells[: t + 1]), table, b).value
-        v1 = bdm.bdm_1d(bdm.flatten_binary(perturbed.cells[: t + 1]), table, b).value
-        trace.append((t, v1 - v0))
+        end = (t + 1) * width  # rows 0..t of the row-major string
+        trace.append((t, bdm.bdm_1d(flat1[:end], table, b).value - bdm.bdm_1d(flat0[:end], table, b).value))
     return base, perturbed, trace
 
 

@@ -3,7 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cabdm import evolve_eca, evolve_gol, flip_cell, random_config, random_grid, rule_table
+from cabdm import (
+    bdm_2d,
+    evolve_eca,
+    evolve_gol,
+    evolve_interacting,
+    flatten_binary,
+    flatten_ternary,
+    flip_cell,
+    random_config,
+    random_grid,
+    rule_table,
+    sample_interaction_rule,
+    serialize_cells,
+)
 
 
 class TestRuleTable:
@@ -213,3 +226,39 @@ class TestFlipCell:
         assert (once != arr).sum() == 1
         assert int(once[index]) == 1 - cells[index]
         assert np.array_equal(flip_cell(once, index), arr)
+
+
+def _row(bad):
+    return np.array([0, 1, bad, 0, 1])
+
+
+def _grid(bad):
+    return np.array([[0, 1, 0], [1, bad, 0], [0, 0, 1]])
+
+
+# Each case gets an otherwise valid input holding the bad value.
+CELL_CONSUMERS = {
+    "evolve_eca": lambda bad, table: evolve_eca(30, _row(bad), 1),
+    "evolve_gol": lambda bad, table: evolve_gol(_grid(bad), 1),
+    "evolve_interacting": lambda bad, table: evolve_interacting(sample_interaction_rule(30, 22, 0), _row(bad), 1),
+    "flip_cell": lambda bad, table: flip_cell(_row(bad), 0),
+    "flatten_binary": lambda bad, table: flatten_binary(_row(bad)),
+    "flatten_ternary": lambda bad, table: flatten_ternary(_row(bad)),
+    "bdm_2d": lambda bad, table: bdm_2d(_grid(bad), table, 1),
+    "serialize_cells": lambda bad, table: serialize_cells(_row(bad)),
+}
+
+
+class TestCellAlphabet:
+    """Values are checked before the int8 cast: 256 would wrap to 0, 255 to
+    -1 and 0.5 would truncate to 0."""
+
+    @pytest.mark.parametrize("bad", [256, 255, -2, 0.5])
+    @pytest.mark.parametrize("consumer", sorted(CELL_CONSUMERS))
+    def test_out_of_alphabet_rejected(self, consumer, bad, table32):
+        with pytest.raises(ValueError):
+            CELL_CONSUMERS[consumer](bad, table32)
+
+    @pytest.mark.parametrize("consumer", sorted(CELL_CONSUMERS))
+    def test_valid_cells_accepted(self, consumer, table32):
+        CELL_CONSUMERS[consumer](1, table32)

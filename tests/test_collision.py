@@ -14,6 +14,8 @@ from cabdm import (
     rule_table,
     sample_interaction_rule,
 )
+from cabdm.collision import INTERACTION_LABEL
+from cabdm.rng import Stream
 
 
 class TestInteractionRule:
@@ -70,6 +72,39 @@ class TestInteractionRule:
         assert len(outcomes) > 1  # sampled, not delegated
 
 
+def reference_outcomes(rule_a: int, rule_b: int, seed: int) -> dict:
+    """Outcome per ternary neighbourhood, decided one neighbourhood at a time:
+    12 mixed draws in ascending order, then a zero draw on a conflict."""
+    stream = Stream(INTERACTION_LABEL, seed)
+    hoods = list(product((-1, 0, 1), repeat=3))
+    mixed = {h: stream.next_below(3) - 1 for h in hoods if 1 in h and -1 in h}
+    zero_a, zero_b = rule_a & 1, -(rule_b & 1)
+    out = {(0, 0, 0): stream.next_below(3) - 1 if zero_a != zero_b else zero_a}
+    for l, c, r in hoods:
+        if (l, c, r) in mixed:
+            out[(l, c, r)] = mixed[(l, c, r)]
+        elif (l, c, r) == (0, 0, 0):
+            continue
+        elif -1 not in (l, c, r):
+            out[(l, c, r)] = rule_a >> (4 * l + 2 * c + r) & 1
+        else:
+            out[(l, c, r)] = -(rule_b >> (-4 * l - 2 * c - r) & 1)
+    return out
+
+
+class TestInteractionTable:
+    @pytest.mark.parametrize("rule_b", [0, 1, 22, 30, 54, 110, 128, 255])
+    def test_matches_per_neighbourhood_reference(self, rule_b):
+        hoods = list(product((-1, 0, 1), repeat=3))
+        rows = [np.array(h, dtype=np.int8) for h in hoods]
+        for rule_a in range(256):
+            for seed in (0, rule_a * 31 + rule_b):
+                interaction = sample_interaction_rule(rule_a, rule_b, seed)
+                expected = reference_outcomes(rule_a, rule_b, seed)
+                got = {h: int(interaction.step(row)[1]) for h, row in zip(hoods, rows)}
+                assert got == expected, (rule_a, rule_b, seed)
+
+
 class TestEvolveInteracting:
     def test_binary_init_reduces_to_rule_a(self):
         interaction = sample_interaction_rule(30, 22, seed=4)
@@ -99,6 +134,15 @@ class TestEvolveInteracting:
         interaction = sample_interaction_rule(110, 30, seed=1)
         st = evolve_interacting(interaction, collision_initial_state(6, 12), 12)
         assert st.verify()
+
+    def test_verify_collision_run(self):
+        # The paper's lattice: rule 30 meets rule 22 across a 40-cell gap.
+        interaction = sample_interaction_rule(30, 22, seed=7)
+        st = evolve_interacting(interaction, collision_initial_state(40, 100), 100)
+        assert st.verify()
+        assert (st.cells == 1).any() and (st.cells == -1).any()
+        st.cells[50, 100] = -1 if st.cells[50, 100] != -1 else 1
+        assert not st.verify()
 
 
 class TestLightCones:

@@ -46,10 +46,6 @@ class TestEnumeration:
         assert all(not t.halts for t in first.transitions.values())
         assert all(t.halts and t.write == 1 for t in last.transitions.values())
 
-    def test_unsupported_k(self):
-        with pytest.raises(ValueError):
-            class_size(2, k=3)
-
     @given(st.integers(1, 4), st.data())
     @settings(max_examples=80)
     def test_codec_round_trip(self, n, data):
@@ -248,8 +244,6 @@ class TestBuildTable:
             build_table(4)
         with pytest.raises(ValueError):
             build_table(2, cutoff=0)
-        with pytest.raises(ValueError):
-            build_table(2, k=3)
 
     def test_cutoff_over_tape_limit_rejected_before_allocating(self, monkeypatch):
         def must_not_run(*args):
@@ -265,8 +259,24 @@ class TestBuildTable:
                 build()
         assert run(["ctm-build", "--n", "2", "--cutoff", str(too_long)]) == 1
         # One tape below the limit is accepted, one machine per chunk.
-        _, jobs = ctm._machine_jobs(2, 2, too_long - 1, None, 0, False, 1)
+        _, jobs = ctm._machine_jobs(2, too_long - 1, None, 0, False, 1)
         assert len(jobs) == class_size(2) and len(jobs[0]) == 1
+
+    def test_sample_over_index_limit_rejected_before_drawing(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def must_not_draw(*args):
+            raise Reached
+
+        monkeypatch.setattr(ctm, "_stratified_sample", must_not_draw)
+        limit = ctm._TAPE_BYTES // 8  # int64 indices that fit the budget
+        with pytest.raises(ValueError, match="limit"):
+            build_table(5, sample=limit + 1)
+        assert run(["ctm-build", "--n", "5", "--sample", str(limit + 1)]) == 1
+        # The limit itself passes the check and reaches the (patched) draw.
+        with pytest.raises(Reached):
+            build_table(5, sample=limit)
 
     def test_guard_lifts_with_sample_flag(self):
         table = build_table(5, sample=50, cutoff=20)
