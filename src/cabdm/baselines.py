@@ -109,10 +109,9 @@ def shannon_block_entropy(s: str, b: int) -> float:
 
 
 def temporal_cell_entropy(spacetime) -> np.ndarray:
-    """Per-cell entropy of each grid cell's binary time series."""
-    stack = np.asarray(getattr(spacetime, "cells", spacetime))
-    if stack.ndim != 3:
-        raise ValueError(f"expected a (time, height, width) stack, got shape {stack.shape}")
+    """Per-cell entropy of each grid cell's binary time series, from a
+    (time, height, width) stack of 0/1 cells."""
+    stack = _cells(getattr(spacetime, "cells", spacetime), (0, 1), 3)
     if stack.shape[0] < 2:
         raise ValueError("need at least 2 time slices")
     p = stack.mean(axis=0)

@@ -1,9 +1,11 @@
 """Command-line front end: table building, experiments, CSV/PGM emission.
 
-Every output file starts with ``#key=value`` lines echoing the parsed
-configuration, which is enough to re-run the exact experiment.  Runs are
-pure functions of their arguments: repeating an invocation reproduces all
-output files byte for byte, regardless of worker count.
+Every CSV starts with ``#key=value`` lines, and every PGM carries them as
+``# key=value`` comments, echoing the configuration that produced it, which
+is enough to re-run the exact experiment; the ``gol_entropy_diff_seed*.txt``
+grids carry none.  Runs are pure functions of their arguments: repeating an
+invocation reproduces all output files byte for byte, regardless of worker
+count.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -18,7 +20,7 @@ import sys
 import numpy as np
 
 from . import bdm
-from .ca import evolve_eca, evolve_gol, random_config, rule_table
+from .ca import evolve_eca, flip_cell, random_config, rule_table
 from .collision import (
     CollisionReport, collision_experiment, evolve_interacting, sample_interaction_rule, collision_initial_state
 )
@@ -32,6 +34,11 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _write_lines(path, lines) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def emit_csv(rows, schema, path, config=None) -> None:
     """Write rows under a header, with ``#``-comment config echo lines."""
     lines = [f"#{key}={value}" for key, value in (config or [])]
@@ -40,8 +47,7 @@ def emit_csv(rows, schema, path, config=None) -> None:
         if len(row) != len(schema):
             raise ValueError(f"row {row!r} does not match schema {schema}")
         lines.append(",".join(_format_value(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def emit_pgm(spacetime, path, comments=None) -> None:
@@ -59,8 +65,7 @@ def emit_pgm(spacetime, path, comments=None) -> None:
     lines.append("2")
     for row in cells:
         lines.append(" ".join(str(int(v)) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_pgm(path) -> np.ndarray:
@@ -85,14 +90,8 @@ def ternary_to_pgm(cells) -> np.ndarray:
     return np.where(arr == -1, np.int8(2), arr)
 
 
-def _config_echo(args, keys):
-    return [(key, getattr(args, key.replace("-", "_"))) for key in keys]
-
-
 def _resolve_table(args):
-    if getattr(args, "table", None):
-        return load_table(args.table)
-    return default_table()
+    return load_table(args.table) if args.table else default_table()
 
 
 def _parse_rules(text):
@@ -155,24 +154,14 @@ def _cmd_bdm(args) -> int:
     return 0
 
 
-def _single_seed_init(width):
-    init = np.zeros(width, dtype=np.int8)
-    init[width // 2] = 1
-    return init
-
-
 def _cmd_eca(args) -> int:
     if args.init == "single":
-        init = _single_seed_init(args.width)
+        init = flip_cell(np.zeros(args.width, dtype=np.int8), args.width // 2)
     else:
         init = random_config(args.seed, args.width, args.density)
     spacetime = evolve_eca(rule_table(args.rule), init, args.steps)
     if args.dump:
-        emit_pgm(
-            spacetime,
-            args.dump,
-            comments=[f"{k}={v}" for k, v in _config_echo(args, ("rule", "width", "steps", "init", "seed", "density"))],
-        )
+        _Outputs(args, args.echo).pgm(args.dump, spacetime)
         print(f"wrote {args.dump}")
     else:
         for row in spacetime.cells:
@@ -180,93 +169,78 @@ def _cmd_eca(args) -> int:
     return 0
 
 
-def _cmd_perturb(args) -> int:
-    table = _resolve_table(args)
-    os.makedirs(args.out, exist_ok=True)
-    if args.mode == "trace":
-        echo = _config_echo(
-            args, ("mode", "rule", "width", "steps", "seed", "flip", "density", "b")
-        )
-        base, perturbed, trace = perturbation_trace(
-            args.rule, args.width, args.steps, args.seed, args.flip, table, args.b, args.density
-        )
-        comments = [f"{k}={v}" for k, v in echo]
-        emit_pgm(base, os.path.join(args.out, "trace_unperturbed.pgm"), comments)
-        emit_pgm(perturbed, os.path.join(args.out, "trace_perturbed.pgm"), comments)
-        emit_csv(trace, ("t", "delta_bdm"), os.path.join(args.out, "trace_delta_bdm.csv"), echo)
-        print(f"wrote trace outputs to {args.out} (final delta_bdm={trace[-1][1]:.6f})")
-        return 0
+class _Outputs:
+    """A run's files, named inside ``directory``; each CSV and PGM echoes the
+    run's config, the values of ``keys`` in ``args`` (a list comma-separated,
+    as it is typed)."""
 
-    rules = args.rules
-    # Worker count is execution machinery, not experiment configuration:
-    # echoing it would break byte-stability across worker counts.
-    echo = _config_echo(args, ("mode", "width", "steps", "seeds", "density", "b")) + [
-        ("rules", ",".join(str(r) for r in rules))
-    ]
-    sweep = perturbation_sweep(
-        rules, args.width, args.steps, args.seeds, table, args.b, args.density, args.workers
-    )
-    emit_csv(
-        (
-            (r.rule, r.seed, r.flip_pos, r.delta_bdm, r.delta_compressed_bytes, r.delta_entropy)
-            for r in sweep.reports
-        ),
-        ("rule", "seed", "flip_pos", "delta_bdm", "delta_lzw_bytes", "delta_entropy"),
-        os.path.join(args.out, "perturb_seeds.csv"),
-        echo,
-    )
-    mean_rows = []
-    for i, rule in enumerate(sweep.rules):
-        for pos in range(sweep.width):
-            mean_rows.append(
-                (
-                    rule,
-                    pos,
-                    float(sweep.mean_delta_bdm[i, pos]),
-                    float(sweep.mean_delta_lzw[i, pos]),
-                    float(sweep.mean_delta_entropy[i, pos]),
-                )
-            )
-    emit_csv(
-        mean_rows,
-        ("rule", "flip_pos", "mean_delta_bdm", "mean_delta_lzw_bytes", "mean_delta_entropy"),
-        os.path.join(args.out, "perturb_mean.csv"),
-        echo,
-    )
-    print(f"wrote sweep CSVs to {args.out} ({len(sweep.reports)} reports)")
+    def __init__(self, args, keys, directory=""):
+        config = [(key, getattr(args, key)) for key in keys]
+        self.config = [(k, ",".join(map(str, v)) if isinstance(v, list) else v) for k, v in config]
+        self.directory = directory
+
+    def path(self, name) -> str:
+        return os.path.join(self.directory, name)
+
+    def csv(self, name, schema, rows) -> None:
+        emit_csv(rows, schema, self.path(name), self.config)
+
+    def pgm(self, name, cells, *extra) -> None:
+        emit_pgm(cells, self.path(name), [f"{key}={value}" for key, value in self.config + list(extra)])
+
+
+def _run_experiment(args) -> int:
+    """Run an experiment mode.  The table is resolved first, so a bad ``--table``
+    leaves no ``--out`` behind; the handler returns the summary line."""
+    handler, keys = args.modes[getattr(args, "mode", None)]
+    table = _resolve_table(args)
+    if "flip" in keys and args.flip is None:  # trace's default, the center cell, is echoed as a number
+        args.flip = args.width // 2
+    os.makedirs(args.out, exist_ok=True)
+    print(handler(args, table, _Outputs(args, keys, args.out)))
     return 0
 
 
-def _cmd_collide(args) -> int:
-    table = _resolve_table(args)
-    os.makedirs(args.out, exist_ok=True)
-    echo = _config_echo(args, ("rule_a", "rule_b", "gap", "steps", "n_rules", "b"))
-    reports = collision_experiment(
-        args.rule_a, args.rule_b, args.gap, args.steps, args.n_rules, table, args.b
+def _perturb_sweep(args, table, out) -> str:
+    sweep = perturbation_sweep(
+        args.rules, args.width, args.steps, args.seeds, table, args.b, args.density, args.workers
     )
-    emit_csv(
-        (dataclasses.astuple(r) for r in reports),
-        [field.name for field in dataclasses.fields(CollisionReport)],
-        os.path.join(args.out, "collision.csv"),
-        echo,
+    out.csv(
+        "perturb_seeds.csv",
+        ("rule", "seed", "flip_pos", "delta_bdm", "delta_lzw_bytes", "delta_entropy"),
+        ((r.rule, r.seed, r.flip_pos, r.delta_bdm, r.delta_compressed_bytes, r.delta_entropy) for r in sweep.reports),
     )
+    means = np.stack([sweep.mean_delta_bdm, sweep.mean_delta_lzw, sweep.mean_delta_entropy], axis=-1)
+    out.csv(
+        "perturb_mean.csv",
+        ("rule", "flip_pos", "mean_delta_bdm", "mean_delta_lzw_bytes", "mean_delta_entropy"),
+        ((rule, pos, *map(float, means[i, pos])) for i, rule in enumerate(sweep.rules) for pos in range(sweep.width)),
+    )
+    return f"wrote sweep CSVs to {args.out} ({len(sweep.reports)} reports)"
+
+
+def _perturb_trace(args, table, out) -> str:
+    base, perturbed, trace = perturbation_trace(
+        args.rule, args.width, args.steps, args.seed, args.flip, table, args.b, args.density
+    )
+    out.pgm("trace_unperturbed.pgm", base)
+    out.pgm("trace_perturbed.pgm", perturbed)
+    out.csv("trace_delta_bdm.csv", ("t", "delta_bdm"), trace)
+    return f"wrote trace outputs to {args.out} (final delta_bdm={trace[-1][1]:.6f})"
+
+
+def _collide(args, table, out) -> str:
+    reports = collision_experiment(args.rule_a, args.rule_b, args.gap, args.steps, args.n_rules, table, args.b)
+    out.csv("collision.csv", [f.name for f in dataclasses.fields(CollisionReport)], map(dataclasses.astuple, reports))
     init = collision_initial_state(args.gap, args.steps)
     for seed in range(min(args.dump, args.n_rules)):
         interaction = sample_interaction_rule(args.rule_a, args.rule_b, seed)
         st = evolve_interacting(interaction, init, args.steps)
-        emit_pgm(
-            ternary_to_pgm(st.cells),
-            os.path.join(args.out, f"collision_seed{seed}.pgm"),
-            [f"{k}={v}" for k, v in echo] + [f"interaction_seed={seed}"],
-        )
-    print(f"wrote collision CSV ({len(reports)} reports) to {args.out}")
-    return 0
+        out.pgm(f"collision_seed{seed}.pgm", ternary_to_pgm(st.cells), ("interaction_seed", seed))
+    return f"wrote collision CSV ({len(reports)} reports) to {args.out}"
 
 
-def _cmd_gol(args) -> int:
-    table = _resolve_table(args)
-    os.makedirs(args.out, exist_ok=True)
-    echo = _config_echo(args, ("width", "height", "density", "pre_steps", "post_steps", "seeds", "d"))
+def _gol(args, table, out) -> str:
     rows = []
     for seed in range(args.seeds):
         report = gol_perturbation(
@@ -287,21 +261,19 @@ def _cmd_gol(args) -> int:
                 report.delta_entropy,
             )
         )
-        grid_path = os.path.join(args.out, f"gol_entropy_diff_seed{seed}.txt")
-        with open(grid_path, "w", encoding="utf-8", newline="\n") as fh:
-            for grid_row in report.entropy_diff_grid:
-                fh.write(" ".join(f"{v:.6f}" for v in grid_row) + "\n")
-    emit_csv(
-        rows,
+        _write_lines(
+            out.path(f"gol_entropy_diff_seed{seed}.txt"),
+            (" ".join(f"{v:.6f}" for v in grid_row) for grid_row in report.entropy_diff_grid),
+        )
+    out.csv(
+        "gol_reports.csv",
         (
             "seed", "flip_row", "flip_col", "delta_bdm", "delta_bdm_final_grid",
             "delta_lzw_bytes", "delta_lzw_bytes_volume", "delta_entropy",
         ),
-        os.path.join(args.out, "gol_reports.csv"),
-        echo,
+        rows,
     )
-    print(f"wrote GoL reports for {args.seeds} seeds to {args.out}")
-    return 0
+    return f"wrote GoL reports for {args.seeds} seeds to {args.out}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cabdm",
         description="Complexity estimation experiments for cellular automata.",
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ctm-build", help="enumerate a machine class and write its output table")
     p.add_argument("--n", type=int, required=True, help="number of machine states")
@@ -336,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--dump", default=None, help="write a PGM here instead of printing")
-    p.set_defaults(func=_cmd_eca)
+    p.set_defaults(func=_cmd_eca, echo=("rule", "width", "steps", "init", "seed", "density"))
 
     p = sub.add_parser("perturb", help="single-cell perturbation sweep or long-run trace")
     p.add_argument("--mode", choices=("sweep", "trace"), default="sweep")
@@ -352,7 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, default=bdm.DEFAULT_BLOCK_LEN_1D)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_perturb)
+    # Each mode's handler and echoed keys.  --table, --workers and --out are never echoed: they
+    # choose how and where a run executes, and outputs stay byte-identical across them.
+    p.set_defaults(func=_run_experiment, modes={
+        "sweep": (_perturb_sweep, ("mode", "width", "steps", "seeds", "density", "b", "rules")),
+        "trace": (_perturb_trace, ("mode", "rule", "width", "steps", "seed", "flip", "density", "b")),
+    })
 
     p = sub.add_parser("collide", help="sampled-interaction collision experiment")
     p.add_argument("--rule-a", type=int, default=30)
@@ -364,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, default=bdm.DEFAULT_BLOCK_LEN_1D)
     p.add_argument("--dump", type=int, default=0, help="also dump this many collision PGMs")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_collide)
+    p.set_defaults(func=_run_experiment, modes={
+        None: (_collide, ("rule_a", "rule_b", "gap", "steps", "n_rules", "b")),
+    })
 
     p = sub.add_parser("gol", help="Game of Life central-cell perturbation")
     p.add_argument("--width", type=int, default=64)
@@ -376,7 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", default=None)
     p.add_argument("--d", type=int, default=bdm.DEFAULT_BLOCK_SIDE_2D)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gol)
+    p.set_defaults(func=_run_experiment, modes={
+        None: (_gol, ("width", "height", "density", "pre_steps", "post_steps", "seeds", "d")),
+    })
 
     return parser
 
@@ -387,11 +368,6 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors, 0 for --help
         return int(exc.code or 0)
-    if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
-        return 2
-    if args.command == "perturb" and args.mode == "trace" and args.flip is None:
-        args.flip = args.width // 2
     try:
         return args.func(args)
     except (ValueError, OSError, LookupError) as exc:

@@ -136,15 +136,9 @@ def collision_experiment(
     if len(seeds) != n_rules:
         raise ValueError("interaction_seeds length must equal n_rules")
 
-    width, pos_plus, pos_minus = collision_lattice(gap, steps)
     init = collision_initial_state(gap, steps)
-
-    iso_a = np.zeros(width, dtype=np.int8)
-    iso_a[pos_plus] = 1
-    iso_b = np.zeros(width, dtype=np.int8)
-    iso_b[pos_minus] = 1
-    st_a = evolve_eca(rule_a, iso_a, steps)
-    st_b = evolve_eca(rule_b, iso_b, steps)
+    st_a = evolve_eca(rule_a, (init == 1).astype(np.int8), steps)
+    st_b = evolve_eca(rule_b, (init == -1).astype(np.int8), steps)
     bdm_a = bdm.bdm_1d(bdm.flatten_binary(st_a.cells), table, b).value
     bdm_b = bdm.bdm_1d(bdm.flatten_binary(st_b.cells), table, b).value
     lzw_a = compressed_size(st_a.cells)

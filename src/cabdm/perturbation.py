@@ -123,32 +123,20 @@ def perturbation_sweep(
         raise ValueError("need at least one rule and one seed")
     pairs = [(rule, seed) for rule in rules for seed in seed_list]
     cell = partial(_sweep_cell, width=width, steps=steps, density=density, table=table, b=b)
-    by_pair = dict(zip(pairs, _pmap(cell, pairs, workers)))
-
-    all_reports: list[DeltaReport] = []
-    mean_bdm = np.zeros((len(rules), width))
-    mean_lzw = np.zeros((len(rules), width))
-    mean_ent = np.zeros((len(rules), width))
-    for i, rule in enumerate(rules):
-        for seed in seed_list:
-            for report in by_pair[(rule, seed)]:
-                all_reports.append(report)
-                mean_bdm[i, report.flip_pos] += report.delta_bdm
-                mean_lzw[i, report.flip_pos] += report.delta_compressed_bytes
-                mean_ent[i, report.flip_pos] += report.delta_entropy
-    mean_bdm /= len(seed_list)
-    mean_lzw /= len(seed_list)
-    mean_ent /= len(seed_list)
+    reports = tuple(report for cell_reports in _pmap(cell, pairs, workers) for report in cell_reports)
+    deltas = np.array([(r.delta_bdm, r.delta_compressed_bytes, r.delta_entropy) for r in reports], dtype=float)
+    # numpy sums a non-last axis in order, so each mean adds seeds left to right.
+    means = deltas.reshape(len(rules), len(seed_list), width, 3).mean(axis=1)
     return SweepResult(
         rules=rules,
         seeds=seed_list,
         width=width,
         steps=steps,
         block_len=b,
-        reports=tuple(all_reports),
-        mean_delta_bdm=mean_bdm,
-        mean_delta_lzw=mean_lzw,
-        mean_delta_entropy=mean_ent,
+        reports=reports,
+        mean_delta_bdm=means[..., 0],
+        mean_delta_lzw=means[..., 1],
+        mean_delta_entropy=means[..., 2],
     )
 
 

@@ -16,6 +16,7 @@ from cabdm import (
     rule_table,
     sample_interaction_rule,
     serialize_cells,
+    temporal_cell_entropy,
 )
 
 
@@ -246,15 +247,20 @@ CELL_CONSUMERS = {
     "flatten_ternary": lambda bad, table: flatten_ternary(_row(bad)),
     "bdm_2d": lambda bad, table: bdm_2d(_grid(bad), table, 1),
     "serialize_cells": lambda bad, table: serialize_cells(_row(bad)),
+    "temporal_cell_entropy": lambda bad, table: temporal_cell_entropy(np.stack([_grid(bad)] * 3)),
 }
+# Consumers of binary cells also reject the ternary cells 2 and -1.
+BINARY_CONSUMERS = ("evolve_eca", "evolve_gol", "flatten_binary", "flip_cell", "temporal_cell_entropy")
+ALPHABET_CASES = [(consumer, bad) for bad in (256, 255, -2, 0.5) for consumer in sorted(CELL_CONSUMERS)] + [
+    (consumer, bad) for bad in (2, -1) for consumer in BINARY_CONSUMERS
+]
 
 
 class TestCellAlphabet:
     """Values are checked before the int8 cast: 256 would wrap to 0, 255 to
     -1 and 0.5 would truncate to 0."""
 
-    @pytest.mark.parametrize("bad", [256, 255, -2, 0.5])
-    @pytest.mark.parametrize("consumer", sorted(CELL_CONSUMERS))
+    @pytest.mark.parametrize("consumer,bad", ALPHABET_CASES, ids=[f"{c}-{bad}" for c, bad in ALPHABET_CASES])
     def test_out_of_alphabet_rejected(self, consumer, bad, table32):
         with pytest.raises(ValueError):
             CELL_CONSUMERS[consumer](bad, table32)

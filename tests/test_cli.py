@@ -147,3 +147,24 @@ class TestRun:
         assert (out / "trace_unperturbed.pgm").exists()
         assert (out / "trace_perturbed.pgm").exists()
         assert (out / "trace_delta_bdm.csv").exists()
+
+
+EXPERIMENTS = [["perturb"], ["perturb", "--mode", "trace"], ["collide"], ["gol"]]
+
+
+class TestRunnerErrors:
+    @pytest.mark.parametrize("command", EXPERIMENTS, ids=" ".join)
+    def test_corrupt_table_leaves_no_out_dir(self, tmp_path, capsys, command):
+        table, out = tmp_path / "bad.txt", tmp_path / "out"
+        table.write_text("not a table\n")
+        assert run(command + ["--table", str(table), "--out", str(out)]) == 1
+        assert str(table) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", EXPERIMENTS, ids=" ".join)
+    def test_out_naming_a_file_exits_1(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.write_text("")
+        assert run(command + ["--out", str(out)]) == 1
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text() == ""

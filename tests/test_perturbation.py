@@ -86,13 +86,17 @@ class TestSweep:
         assert a.seeds == (5, 9)
 
     def test_mean_recomputable_from_reports(self, table32):
+        """Bit for bit a running sum over seeds in seed order, then one division."""
         sweep = perturbation_sweep([22, 54], 10, 6, 3, table32)
+        means = (sweep.mean_delta_bdm, sweep.mean_delta_lzw, sweep.mean_delta_entropy)
         for i, rule in enumerate(sweep.rules):
             for pos in range(10):
-                values = [
-                    r.delta_bdm for r in sweep.reports if r.rule == rule and r.flip_pos == pos
-                ]
-                assert sweep.mean_delta_bdm[i, pos] == pytest.approx(np.mean(values), abs=1e-12)
+                total = [0.0, 0.0, 0.0]
+                for r in sweep.reports:
+                    if r.rule == rule and r.flip_pos == pos:
+                        for k, delta in enumerate((r.delta_bdm, r.delta_compressed_bytes, r.delta_entropy)):
+                            total[k] += delta
+                assert [mean[i, pos] for mean in means] == [t / len(sweep.seeds) for t in total]
 
 
 class TestTrace:
