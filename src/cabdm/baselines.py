@@ -62,6 +62,8 @@ def lzw_decompress(codes) -> bytes:
         return b""
     phrases: dict[int, bytes] = {i: bytes([i]) for i in range(256)}
     next_code = 256
+    if codes[0] not in phrases:
+        raise ValueError(f"invalid LZW code {codes[0]}")
     previous = phrases[codes[0]]
     out = [previous]
     for code in codes[1:]:

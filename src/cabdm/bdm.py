@@ -117,52 +117,26 @@ def bdm_2d(a, table: CtmTable, d: int = DEFAULT_BLOCK_SIDE_2D) -> BdmValue:
         raise ValueError("block side must be >= 1")
     if arr.size == 0:
         raise ValueError("cannot decompose an empty array")
-    if (arr == -1).any():
-        grid, cell = _ternary_bits(arr), 2  # binary columns per original cell
-    else:
-        grid, cell = arr, 1
-
+    grid = _ternary_bits(arr) if (arr == -1).any() else arr
     height, width = arr.shape
-    cols = -(-width // d)  # tiles per row, edge included
-    # The tiles fall into at most four groups of one shape each: full tiles,
-    # right-edge column, bottom-edge row and corner; each is (start, tiles, side).
-    row_groups = [(0, height // d, d), (height - height % d, 1, height % d)]
-    col_groups = [(0, width // d, d), (width - width % d, 1, width % d)]
-    found: list[tuple[int, str, int]] = []  # (row-major tile position, block, count)
-    for r0, nr, tr in row_groups:
-        for c0, nc, tc in col_groups:
-            if nr * tr * nc * tc == 0:
-                continue
-            group = grid.view(np.uint8)[r0 : r0 + nr * tr, cell * c0 : cell * (c0 + nc * tc)]
-            tiles = group.reshape(nr, tr, nc, cell * tc).swapaxes(1, 2)
-            for k, block, n in _count_tiles(tiles):
-                found.append(((r0 // d + k // nc) * cols + c0 // d + k % nc, block, n))
-    str_counts: dict[str, int] = {}
-    for _, block, n in sorted(found):
-        str_counts[block] = str_counts.get(block, 0) + n
+    tc = d * grid.shape[1] // width  # bit columns per tile
+    # Each tile's code is a leading 1 and then its bits, row-major.  The leading 1
+    # keeps an edge tile apart from a longer tile with the same bits ("01" from
+    # "0001"), so a code names exactly one block string.
+    codes = np.ones((-(-height // d), -(-width // d)), dtype=np.min_scalar_type((1 << (d * tc + 1)) - 1))
+    bits = grid.view(np.uint8)
+    for i in range(d):
+        for j in range(tc):
+            cell = bits[i::d, j::tc]  # bit (i, j) of every tile that has one
+            part = codes[: cell.shape[0], : cell.shape[1]]
+            part <<= 1
+            part |= cell
+    uniq, first, n = np.unique(codes.ravel(), return_index=True, return_counts=True)
+    order = np.argsort(first)  # first appearance, row-major
+    str_counts = {format(code, "b")[1:]: c for code, c in zip(uniq[order].tolist(), n[order].tolist())}
     partition = BlockPartition(
         blocks=tuple(str_counts.items()),
         block_size=d,
         remainder=(height % d) * width + (width % d) * (height - height % d),
     )
     return BdmValue(value=_score(str_counts, table), partition=partition)
-
-
-def _count_tiles(tiles: np.ndarray) -> list[tuple[int, str, int]]:
-    """Distinct tiles of an (nr, nc, tr, tc) view of 0/1 cells, as
-    (row-major index of the first such tile, its block, its count)."""
-    nr, nc, tr, tc = tiles.shape
-    bits = tr * tc
-    if bits <= 64:  # pack each tile into one unsigned code, straight from the view
-        codes = np.zeros((nr, nc), dtype=np.min_scalar_type((1 << bits) - 1))
-        for i in range(tr):
-            for j in range(tc):
-                codes <<= 1
-                codes |= tiles[:, :, i, j]
-        _, first, n = np.unique(codes, return_index=True, return_counts=True)
-    else:
-        _, first, n = np.unique(tiles.reshape(nr * nc, bits), axis=0, return_index=True, return_counts=True)
-    return [
-        (k, tiles[k // nc, k % nc].tobytes().translate(_BYTES_TO_01).decode(), c)
-        for k, c in zip(first.tolist(), n.tolist())
-    ]

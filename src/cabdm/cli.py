@@ -170,9 +170,9 @@ def _cmd_eca(args) -> int:
 
 
 class _Outputs:
-    """A run's files, named inside ``directory``; each CSV and PGM echoes the
-    run's config, the values of ``keys`` in ``args`` (a list comma-separated,
-    as it is typed)."""
+    """A run's files, named inside ``directory``, which is made when the first
+    file is written; each CSV and PGM echoes the run's config, the values of
+    ``keys`` in ``args`` (a list comma-separated, as it is typed)."""
 
     def __init__(self, args, keys, directory=""):
         config = [(key, getattr(args, key)) for key in keys]
@@ -180,6 +180,8 @@ class _Outputs:
         self.directory = directory
 
     def path(self, name) -> str:
+        if self.directory:
+            os.makedirs(self.directory, exist_ok=True)
         return os.path.join(self.directory, name)
 
     def csv(self, name, schema, rows) -> None:
@@ -190,13 +192,15 @@ class _Outputs:
 
 
 def _run_experiment(args) -> int:
-    """Run an experiment mode.  The table is resolved first, so a bad ``--table``
-    leaves no ``--out`` behind; the handler returns the summary line."""
+    """Run an experiment mode; the handler returns the summary line.  ``--out``
+    is made only when the first file is written, so a run that fails before
+    then (a bad ``--table`` or parameter) leaves none behind."""
     handler, keys = args.modes[getattr(args, "mode", None)]
+    if os.path.exists(args.out) and not os.path.isdir(args.out):  # fail before the run, not after it
+        raise NotADirectoryError(f"--out {args.out} is not a directory")
     table = _resolve_table(args)
     if "flip" in keys and args.flip is None:  # trace's default, the center cell, is echoed as a number
         args.flip = args.width // 2
-    os.makedirs(args.out, exist_ok=True)
     print(handler(args, table, _Outputs(args, keys, args.out)))
     return 0
 
@@ -241,6 +245,8 @@ def _collide(args, table, out) -> str:
 
 
 def _gol(args, table, out) -> str:
+    if args.seeds < 1:
+        raise ValueError("need at least one seed")
     rows = []
     for seed in range(args.seeds):
         report = gol_perturbation(

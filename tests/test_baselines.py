@@ -54,6 +54,11 @@ class TestLzw:
         data = b"abababababab"
         assert lzw_decompress(lzw_compress(data).codes) == data
 
+    @pytest.mark.parametrize("codes", [[300], [-1], [65, 300]], ids=["first-300", "first-minus-1", "later-300"])
+    def test_invalid_code_rejected(self, codes):
+        with pytest.raises(ValueError, match="invalid LZW code"):
+            lzw_decompress(codes)
+
     def test_doubled_string_reuses_dictionary(self):
         stream = Stream("lzw-doubling", 1)
         x = bytes(stream.next_below(256) for _ in range(400))

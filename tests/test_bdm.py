@@ -204,6 +204,12 @@ class TestBdm2d:
     # only in late cells, and a ternary grid at d=6.
     @example(20, 20, 9, False, "wide", [0] * 177 + [1])
     @example(19, 13, 6, True, "gappy", [0] * 40 + [-1])
+    # The widest 64-bit code (a binary tile at d=7, 49 bits) and the first
+    # Python-int code (d=8, 64 bits), full tiles differing in their last cell.
+    @example(14, 14, 7, False, "wide", [0] * 97 + [1])
+    @example(16, 16, 8, False, "wide", [0] * 127 + [1])
+    # Edge tiles "01", "01" and corner "1" beside the full tile "0001".
+    @example(3, 3, 2, False, "shipped", [0, 0, 0, 0, 1, 1, 0, 1, 1])
     @settings(max_examples=300, deadline=None)
     def test_matches_per_tile_reference(self, table32, height, width, d, ternary, which, cells):
         # The cells repeat over the array, which gives equal and nearly equal
@@ -218,6 +224,11 @@ class TestBdm2d:
             return result.value, result.partition.blocks
 
         assert _outcome(fast) == _outcome(lambda: reference_bdm_2d(arr, table, d))
+
+    def test_edge_tiles_keep_their_own_blocks(self, table32):
+        # Read without their lengths, the bits of "0001", "01" and "1" are all 1.
+        arr = np.array([[0, 0, 0], [0, 1, 1], [0, 1, 1]])
+        assert bdm_2d(arr, table32, 2).partition.blocks == (("0001", 1), ("01", 2), ("1", 1))
 
 
 class TestFlatten:

@@ -161,6 +161,24 @@ class TestRunnerErrors:
         assert str(table) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["perturb", "--mode", "trace", "--width", "10", "--steps", "3", "--flip", "50"], "out of bounds"),
+            (["perturb", "--rules", "", "--width", "10", "--steps", "3", "--seeds", "1"], "at least one rule"),
+            (["gol", "--width", "8", "--height", "8", "--pre-steps", "1", "--post-steps", "1", "--seeds", "0"],
+             "at least one seed"),
+            (["gol", "--width", "8", "--height", "8", "--pre-steps", "1", "--post-steps", "1", "--seeds", "-1"],
+             "at least one seed"),
+        ],
+        ids=["trace-flip-out-of-range", "no-rules", "gol-seeds-0", "gol-seeds-minus-1"],
+    )
+    def test_rejected_parameters_leave_no_out_dir(self, tmp_path, capsys, command, message):
+        out = tmp_path / "out"
+        assert run(command + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", EXPERIMENTS, ids=" ".join)
     def test_out_naming_a_file_exits_1(self, tmp_path, capsys, command):
         out = tmp_path / "out"
