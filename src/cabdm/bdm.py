@@ -6,8 +6,9 @@ and scored as
     BDM = sum over unique blocks of [ ctm(block) + log2(multiplicity) ]
 
 so repeating a block k times costs log2(k) extra bits rather than k full
-copies.  Blocks longer than anything the enumeration produced fall back to
-the table's missing-block value (max at that length plus one bit).
+copies.  A block the table never saw, at a length it has entries for,
+scores the largest value at that length plus one bit; a block of a length
+the table has no entries for at all raises ``CoverageError``.
 
 2D arrays are tiled into d x d blocks and each tile is flattened row-major
 into a string; ternary cells are first expanded to two bits each
@@ -23,15 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ca import _cells
-from .ctm import CtmTable
+from .ctm import _BYTES_TO_01, CtmTable
 
 DEFAULT_BLOCK_LEN_1D = 6
 # With the shipped (3,2) table the longest produced output is 7 cells, so
 # 3x3 tiles (9-cell strings) would have no coverage at all; 2x2 tiles are
 # fully covered.
 DEFAULT_BLOCK_SIDE_2D = 2
-
-_BYTES_TO_01 = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)

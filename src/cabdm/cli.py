@@ -101,7 +101,25 @@ def _parse_rules(text):
         raise argparse.ArgumentTypeError(f"bad rule list {text!r}")
 
 
+def _check_out(path, is_file=False) -> None:
+    """Fail before the work, not after it, on an ``--out`` that cannot be
+    written.  A table file is opened in place, so it must not be a directory
+    and its directory must exist.  An output directory is made with its
+    parents, so the first of it and its ancestors that exists must be one."""
+    if is_file:
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise OSError(f"--out {path}: need a file path inside an existing directory")
+        return
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise NotADirectoryError(f"--out {path}: {existing} is not a directory")
+
+
 def _cmd_ctm_build(args) -> int:
+    out = args.out or f"ctm_{args.n}_2.txt"
+    _check_out(out, is_file=True)
     table = build_table(
         n=args.n,
         cutoff=args.cutoff,
@@ -110,7 +128,6 @@ def _cmd_ctm_build(args) -> int:
         sample_seed=args.sample_seed,
         allow_long_run=args.allow_long_run,
     )
-    out = args.out or f"ctm_{args.n}_2.txt"
     save_table(table, out)
     print(f"wrote {out}: {len(table.entries)} outputs, halting={table.halting}, total={table.total}")
     return 0
@@ -196,8 +213,7 @@ def _run_experiment(args) -> int:
     is made only when the first file is written, so a run that fails before
     then (a bad ``--table`` or parameter) leaves none behind."""
     handler, keys = args.modes[getattr(args, "mode", None)]
-    if os.path.exists(args.out) and not os.path.isdir(args.out):  # fail before the run, not after it
-        raise NotADirectoryError(f"--out {args.out} is not a directory")
+    _check_out(args.out)
     table = _resolve_table(args)
     if "flip" in keys and args.flip is None:  # trace's default, the center cell, is echoed as a number
         args.flip = args.width // 2

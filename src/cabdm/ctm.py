@@ -88,13 +88,9 @@ class RunOutcome:
 
 
 def class_size(n: int) -> int:
-    _check_class(n)
-    return (4 * n + 2) ** (2 * n)
-
-
-def _check_class(n: int) -> None:
     if n < 1:
         raise ValueError(f"state count must be >= 1, got {n}")
+    return (4 * n + 2) ** (2 * n)
 
 
 def _digit_to_transition(digit: int, n: int) -> Transition:
@@ -115,7 +111,6 @@ def _transition_to_digit(t: Transition, n: int) -> int:
 
 def decode_machine(index: int, n: int) -> TuringMachine:
     """Inverse of ``machine_index``: digits become transition entries."""
-    _check_class(n)
     if not 0 <= index < class_size(n):
         raise ValueError(f"machine index {index} outside class of size {class_size(n)}")
     base = 4 * n + 2
@@ -168,12 +163,12 @@ def run_machine(machine: TuringMachine, cutoff: int) -> RunOutcome:
     return RunOutcome(halted=False, steps_used=cutoff, output=None)
 
 
-def _simulate_array(n: int, cutoff: int, indices) -> tuple[Counter, int, int]:
+def _simulate_array(n: int, cutoff: int, indices) -> tuple[Counter, int]:
     """Run the machines with the given indices (a range or an array) in
     vectorized lockstep.
 
-    Returns (output counts before complement-symmetrization, number of
-    halting machines, maximum steps among halters).
+    Returns (output counts before complement-symmetrization, maximum steps
+    among halters).
     """
     base = 4 * n + 2
     count = len(indices)
@@ -219,40 +214,33 @@ def _simulate_array(n: int, cutoff: int, indices) -> tuple[Counter, int, int]:
     counts: Counter = Counter()
     for i in np.flatnonzero(halted):
         counts[tape[i, mn[i] : mx[i] + 1].tobytes().translate(_BYTES_TO_01).decode()] += 1
-    return counts, int(halted.sum()), max_steps
+    return counts, max_steps
 
 
 def max_halting_steps(n: int, cutoff: int = DEFAULT_CUTOFF) -> int:
     """Largest step count of any halting machine in the class (<= cutoff)."""
     _, jobs = _machine_jobs(n, cutoff, sample=None, sample_seed=0, allow_long_run=True, workers=1)
-    return max(_simulate_array(n, cutoff, job)[2] for job in jobs)
+    return max(_simulate_array(n, cutoff, job)[1] for job in jobs)
 
 
+@dataclass(repr=False)
 class CtmTable:
     """Output-frequency table mapping strings to (count, ctm bits)."""
 
-    def __init__(self, n, k, cutoff, total, halting, entries, sampled=False):
-        self.n = n
-        self.k = k
-        self.cutoff = cutoff
-        self.total = total
-        self.halting = halting
-        self.sampled = sampled
-        self.entries: dict[str, tuple[int, float]] = dict(entries)
-        self._max_by_length: dict[int, float] = {}
-        for s, (_, value) in self.entries.items():
-            length = len(s)
-            if value > self._max_by_length.get(length, -math.inf):
-                self._max_by_length[length] = value
+    n: int
+    k: int
+    cutoff: int
+    total: int
+    halting: int
+    entries: dict[str, tuple[int, float]]
+    sampled: bool = False
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CtmTable):
-            return NotImplemented
-        return (
-            (self.n, self.k, self.cutoff, self.total, self.halting, self.sampled)
-            == (other.n, other.k, other.cutoff, other.total, other.halting, other.sampled)
-            and self.entries == other.entries
-        )
+    def __post_init__(self):
+        self.entries = dict(self.entries)
+        # An unseen block scores one bit over the largest value at its length.
+        self._fallback: dict[int, float] = {}
+        for s, (_, value) in sorted(self.entries.items(), key=lambda item: item[1][1]):
+            self._fallback[len(s)] = value + 1.0
 
     def __repr__(self) -> str:
         return (
@@ -269,19 +257,16 @@ class CtmTable:
         hit = self.entries.get(block)
         if hit is not None:
             return hit[1]
-        fallback = self._max_by_length.get(len(block))
+        fallback = self._fallback.get(len(block))
         if fallback is None:
             raise CoverageError(
                 f"table for ({self.n},{self.k}) has no outputs of length {len(block)}"
             )
-        return fallback + 1.0
+        return fallback
 
     def covered_counts(self) -> dict[int, int]:
         """How many distinct strings the table holds, per length."""
-        out: dict[int, int] = {}
-        for s in self.entries:
-            out[len(s)] = out.get(len(s), 0) + 1
-        return dict(sorted(out.items()))
+        return dict(sorted(Counter(map(len, self.entries)).items()))
 
     def fully_covered_lengths(self) -> list[int]:
         """Lengths L for which all 2^L strings are present."""
@@ -303,13 +288,12 @@ def _machine_jobs(n, cutoff, sample, sample_seed, allow_long_run, workers):
     """(machines covered, index chunks): contiguous ranges of the whole
     class, or consecutive slices of a stratified sample of it, cut small
     enough that every worker gets a chunk and their tapes fit in _TAPE_BYTES."""
-    _check_class(n)
+    total_class = class_size(n)
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     tape = 2 * cutoff + 1
     if tape > _TAPE_BYTES:
         raise ValueError(f"cutoff {cutoff} needs a {tape}-byte tape, over the {_TAPE_BYTES}-byte limit")
-    total_class = class_size(n)
     if sample is None:
         if n > 4:
             raise ValueError(
@@ -323,6 +307,8 @@ def _machine_jobs(n, cutoff, sample, sample_seed, allow_long_run, workers):
             )
         indices = range(total_class)
     else:
+        if total_class > 1 << 63:  # the last index would not fit int64
+            raise ValueError(f"the ({n},2) class has {total_class} machines, too many for int64 indices")
         if not 1 <= sample <= total_class:
             raise ValueError(f"sample size must be in [1, {total_class}]")
         if 8 * sample > _TAPE_BYTES:  # one int64 index per sampled machine
@@ -352,16 +338,14 @@ def build_table(
     """
     total, jobs = _machine_jobs(n, cutoff, sample, sample_seed, allow_long_run, workers)
     raw: Counter = Counter()
-    halting_machines = 0
-    for part, halted, _ in _pmap(partial(_simulate_array, n, cutoff), jobs, workers):
+    for part, _ in _pmap(partial(_simulate_array, n, cutoff), jobs, workers):
         raw += part
-        halting_machines += halted
 
     counts: Counter = Counter()
     for s, c in raw.items():
         counts[s] += c
         counts[s.translate(_COMPLEMENT)] += c
-    halting = 2 * halting_machines
+    halting = sum(counts.values())
     if halting == 0:
         raise RuntimeError(f"no machine of the ({n},2) class halted within {cutoff} steps")
     entries = {s: (c, -math.log2(c / halting)) for s, c in counts.items()}
@@ -376,6 +360,10 @@ def build_table(
     )
 
 
+# The file's header lines, in order: every CtmTable field but the entries.
+_HEADER = ("n", "k", "cutoff", "total", "halting", "sampled")
+
+
 def _sort_key(item):
     s = item[0]
     return (len(s), s)
@@ -383,14 +371,7 @@ def _sort_key(item):
 
 def save_table(table: CtmTable, path) -> None:
     """Write the documented text format (sorted, 12-digit ctm values)."""
-    lines = [
-        f"#n={table.n}",
-        f"#k={table.k}",
-        f"#cutoff={table.cutoff}",
-        f"#total={table.total}",
-        f"#halting={table.halting}",
-        f"#sampled={'true' if table.sampled else 'false'}",
-    ]
+    lines = [f"#{key}={str(getattr(table, key)).lower()}" for key in _HEADER]  # sampled as true/false
     for s, (count, value) in sorted(table.entries.items(), key=_sort_key):
         lines.append(f"{s}\t{count}\t{value:.12f}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -409,16 +390,15 @@ def load_table(path) -> CtmTable:
         key, _, value = line[1:].partition("=")
         header[key] = value
         body_start += 1
-    expected = ("n", "k", "cutoff", "total", "halting")
-    if any(key not in header for key in expected) or "sampled" not in header:
+    if any(key not in header for key in _HEADER):
         raise CorruptTableError(f"{path}: missing or malformed header lines")
+    *numbers, flag = (header[key] for key in _HEADER)
     try:
-        n, k, cutoff, total, halting = (int(header[key]) for key in expected)
+        n, k, cutoff, total, halting = map(int, numbers)
     except ValueError as exc:
         raise CorruptTableError(f"{path}: non-integer header field") from exc
-    if header["sampled"] not in ("true", "false"):
-        raise CorruptTableError(f"{path}: bad sampled flag {header['sampled']!r}")
-    sampled = header["sampled"] == "true"
+    if flag not in ("true", "false"):
+        raise CorruptTableError(f"{path}: bad sampled flag {flag!r}")
 
     entries: dict[str, tuple[int, float]] = {}
     for line in lines[body_start:]:
@@ -444,7 +424,7 @@ def load_table(path) -> CtmTable:
         raise CorruptTableError(f"{path}: table has no entries")
     if sum(c for c, _ in entries.values()) != halting:
         raise CorruptTableError(f"{path}: halting count {halting} != sum of entry counts")
-    return CtmTable(n=n, k=k, cutoff=cutoff, total=total, halting=halting, entries=entries, sampled=sampled)
+    return CtmTable(n=n, k=k, cutoff=cutoff, total=total, halting=halting, entries=entries, sampled=flag == "true")
 
 
 def default_table(n: int = 3):

@@ -207,7 +207,8 @@ def gol_perturbation(
     pre_steps: int = 1000,
     post_steps: int = 100,
     seed: int = 0,
-    table: CtmTable | None = None,
+    *,
+    table: CtmTable,
     d: int = bdm.DEFAULT_BLOCK_SIDE_2D,
 ) -> GolReport:
     """Run a grid forward, flip its central cell, and score both branches."""
@@ -215,10 +216,6 @@ def gol_perturbation(
         raise ValueError("pre_steps must be >= 0")
     if post_steps < 1:
         raise ValueError("post_steps must be >= 1")
-    if table is None:
-        from .ctm import default_table
-
-        table = default_table()
     grid = random_grid(seed, grid_w, grid_h, density, label=GOL_INIT_LABEL)
     if pre_steps:
         grid = evolve_gol(grid, pre_steps).cells[-1]

@@ -68,9 +68,9 @@ class Stream:
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
     def next_below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection sampling."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        """Uniform integer in [0, bound) by rejection sampling; 1 <= bound <= 2^64."""
+        if not 0 < bound <= _MASK64 + 1:
+            raise ValueError(f"bound must be in [1, 2^64], got {bound}")
         limit = _MASK64 - (_MASK64 + 1) % bound
         while True:
             x = self.next_u64()

@@ -45,6 +45,23 @@ WIDE_TABLE = make_table(_wide_counts())
 GAPPY_TABLE = make_table({s: c for s, c in _wide_counts().items() if len(s) not in (3, 6, 12, 16)})
 
 
+def reference_bdm_1d(s, table, b):
+    """Plain string slicing: length-b blocks left to right (the tail shorter),
+    each unique block scored from ``table.entries`` in order of first
+    appearance, or one bit over the largest value at its length if unseen."""
+    counts = {}
+    for i in range(0, len(s), b):
+        counts[s[i : i + b]] = counts.get(s[i : i + b], 0) + 1
+    value = 0.0
+    for block, n in counts.items():
+        same_length = [v for t, (_, v) in table.entries.items() if len(t) == len(block)]
+        if not same_length:
+            raise CoverageError(f"table for ({table.n},{table.k}) has no outputs of length {len(block)}")
+        ctm = table.entries[block][1] if block in table.entries else max(same_length) + 1.0
+        value += ctm + math.log2(n)
+    return value, tuple(counts.items()), len(s) % b
+
+
 def reference_bdm_2d(arr, table, d):
     """Plain per-tile loop: row-major d x d tiles (smaller at the right and
     bottom edges), ternary cells spelled out as two bits when any -1 is
@@ -147,6 +164,30 @@ class TestBdm1d:
             k = int(rng.integers(1, 40))
             expected = table32.lookup(s) + math.log2(k)
             assert abs(bdm_1d(s * k, table32, 6).value - expected) < 1e-9
+
+    @given(
+        st.integers(1, 200),
+        st.integers(1, 9),
+        st.sampled_from(["wide", "gappy", "shipped"]),
+        st.text("01", min_size=1, max_size=40),
+    )
+    # Off-table blocks at a covered length, and a tail of a length the table lacks.
+    @example(60, 7, "shipped", "0110100")
+    @example(7, 4, "gappy", "0101")
+    @example(16, 8, "shipped", "0")
+    @settings(max_examples=300, deadline=None)
+    def test_matches_string_reference(self, table32, length, b, which, pattern):
+        # The pattern repeats along the string, which gives repeated blocks
+        # and tails of every length.
+        s = (pattern * (length // len(pattern) + 1))[:length]
+        table = {"wide": WIDE_TABLE, "gappy": GAPPY_TABLE, "shipped": table32}[which]
+
+        def fast():
+            result = bdm_1d(s, table, b)
+            assert result.partition == partition_1d(s, b)
+            return result.value, result.partition.blocks, result.partition.remainder
+
+        assert _outcome(fast) == _outcome(lambda: reference_bdm_1d(s, table, b))
 
 
 class TestBdm2d:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cabdm import load_table
+from cabdm import cli, ctm, load_table
 from cabdm.cli import emit_csv, emit_pgm, read_pgm, run, ternary_to_pgm
 
 
@@ -186,3 +186,26 @@ class TestRunnerErrors:
         assert run(command + ["--out", str(out)]) == 1
         assert str(out) in capsys.readouterr().err
         assert out.read_text() == ""
+
+    def test_out_under_a_file_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran the protocol before checking --out")
+
+        monkeypatch.setattr(cli, "gol_perturbation", must_not_run)
+        blocker = tmp_path / "f"
+        blocker.write_text("keep")
+        out = blocker / "sub"
+        assert run(["gol", "--seeds", "1", "--out", str(out)]) == 1
+        assert str(out) in capsys.readouterr().err
+        assert blocker.read_text() == "keep"
+
+    @pytest.mark.parametrize("where", ["missing/t.txt", "."], ids=["missing-directory", "a-directory"])
+    def test_unwritable_table_path_fails_before_the_build(self, tmp_path, capsys, monkeypatch, where):
+        def must_not_run(*args):
+            raise AssertionError("simulated machines before checking --out")
+
+        monkeypatch.setattr(ctm, "_simulate_array", must_not_run)
+        out = tmp_path / where
+        assert run(["ctm-build", "--n", "2", "--out", str(out)]) == 1
+        assert str(out) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -131,6 +131,10 @@ class TestTableInvariants:
         assert table32.total == 7_529_536
         assert not table32.sampled
         assert table32.fully_covered_lengths() == [1, 2, 3, 4, 5]
+        assert table32.covered_counts() == {1: 2, 2: 4, 3: 8, 4: 16, 5: 32, 6: 52, 7: 14}
+        assert repr(table32) == (
+            "CtmTable(n=3, k=2, cutoff=107, total=7529536, halting=4294368, entries=128, sampled=False)"
+        )
 
 
 class TestLookup:
@@ -277,6 +281,18 @@ class TestBuildTable:
         # The limit itself passes the check and reaches the (patched) draw.
         with pytest.raises(Reached):
             build_table(5, sample=limit)
+
+    def test_class_past_int64_indices_rejected_before_drawing(self, monkeypatch, tmp_path):
+        def must_not_draw(*args):
+            raise AssertionError("drew a sample of a class whose indices do not fit int64")
+
+        monkeypatch.setattr(ctm, "_stratified_sample", must_not_draw)
+        assert class_size(6) < 1 << 63 < class_size(7)
+        with pytest.raises(ValueError, match="int64"):
+            build_table(7, sample=10)
+        monkeypatch.chdir(tmp_path)
+        assert run(["ctm-build", "--n", "7", "--sample", "10"]) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_guard_lifts_with_sample_flag(self):
         table = build_table(5, sample=50, cutoff=20)

@@ -154,3 +154,9 @@ class TestGolPerturbation:
             gol_perturbation(8, 8, 0.5, -1, 5, table=table32)
         with pytest.raises(ValueError):
             gol_perturbation(8, 8, 0.5, 5, 0, table=table32)
+
+    def test_table_is_a_required_keyword(self, table32):
+        with pytest.raises(TypeError):
+            gol_perturbation(8, 8, 0.5, 5, 1)
+        with pytest.raises(TypeError):
+            gol_perturbation(8, 8, 0.5, 5, 1, 0, table32)

@@ -1,3 +1,5 @@
+import pytest
+
 from cabdm import Stream
 
 
@@ -31,3 +33,8 @@ def test_next_below_bounds():
     s = Stream("bounds", 0)
     draws = [s.next_below(3) for _ in range(300)]
     assert set(draws) == {0, 1, 2}
+    assert 0 <= s.next_below(1 << 64) < 1 << 64
+    assert s.next_below(1) == 0
+    for bad in (0, -1, (1 << 64) + 1):
+        with pytest.raises(ValueError):
+            s.next_below(bad)
