@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bdm import partition_1d
-from .ca import _cells
+from .ca import _TO_TEXT, _cells
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,7 @@ def lzw_decompress(codes) -> bytes:
 
 def serialize_cells(cells) -> bytes:
     """Row-major ASCII digits of a cell array; -1 is written as '2'."""
-    arr = _cells(cells, (-1, 0, 1))
-    digits = np.where(arr == -1, np.int8(2), arr).astype(np.uint8) + ord("0")
-    return digits.tobytes()
+    return _cells(cells, (-1, 0, 1)).tobytes().translate(_TO_TEXT)
 
 
 def compressed_size(spacetime) -> int:

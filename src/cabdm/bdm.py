@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ca import _cells
-from .ctm import _BYTES_TO_01, CtmTable
+from .ca import _TO_TEXT, _cells
+from .ctm import CtmTable
 
 DEFAULT_BLOCK_LEN_1D = 6
 # With the shipped (3,2) table the longest produced output is 7 cells, so
@@ -56,12 +56,12 @@ class BdmValue:
 
 def flatten_binary(arr) -> str:
     """Row-major 0/1 string of a binary array of any dimension."""
-    return _cells(arr, (0, 1)).tobytes().translate(_BYTES_TO_01).decode()
+    return _cells(arr, (0, 1)).tobytes().translate(_TO_TEXT).decode()
 
 
 def flatten_ternary(arr) -> str:
     """Row-major string of a {-1,0,1} array, two bits per cell."""
-    return _ternary_bits(_cells(arr, (-1, 0, 1)).reshape(-1)).tobytes().translate(_BYTES_TO_01).decode()
+    return _ternary_bits(_cells(arr, (-1, 0, 1)).reshape(-1)).tobytes().translate(_TO_TEXT).decode()
 
 
 def _ternary_bits(a: np.ndarray) -> np.ndarray:

@@ -8,11 +8,15 @@ allocated.  A spacetime always includes the initial configuration as row 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .rng import Stream
+
+# The one cell-to-text rule (block strings, LZW bytes, PGM pixels): int8 bytes 0, 1, -1 as "012".
+_TO_TEXT = bytes.maketrans(b"\x00\x01\xff", b"012")
+_FROM_TEXT = bytes.maketrans(b"012", b"\x00\x01\xff")
 
 
 def _cells(values, alphabet, ndim=None) -> np.ndarray:
@@ -47,15 +51,21 @@ class EcaRule(_TableRule):
     """
 
     number: int
-    table: dict[tuple[int, int, int], int] = field(compare=False)
-    _lut: np.ndarray = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        if not isinstance(self.number, (int, np.integer)) or not 0 <= self.number <= 255:
+            raise ValueError(f"rule number must be an integer in [0, 255], got {self.number!r}")
+        number = int(self.number)
+        object.__setattr__(self, "number", number)
+        object.__setattr__(self, "_lut", (number >> np.arange(8) & 1).astype(np.int8).reshape(2, 2, 2))
+
+    @property
+    def table(self) -> dict[tuple[int, int, int], int]:
+        return dict(zip(np.ndindex(2, 2, 2), self._lut.ravel().tolist()))
 
     def mirror(self) -> "EcaRule":
         """The left-right conjugate rule (neighborhoods read backwards)."""
-        number = 0
-        for (l, c, r), out in self.table.items():
-            number |= out << (4 * r + 2 * c + l)
-        return rule_table(number)
+        return EcaRule(int(np.packbits(self._lut.transpose(2, 1, 0), bitorder="little")[0]))
 
     def __repr__(self) -> str:
         return f"EcaRule({self.number})"
@@ -63,17 +73,7 @@ class EcaRule(_TableRule):
 
 def rule_table(number: int) -> EcaRule:
     """Build the 8-entry lookup table for a Wolfram rule number."""
-    if not isinstance(number, (int, np.integer)) or not 0 <= number <= 255:
-        raise ValueError(f"rule number must be an integer in [0, 255], got {number!r}")
-    number = int(number)
-    table = {}
-    lut = np.zeros((2, 2, 2), dtype=np.int8)
-    for value in range(8):
-        l, c, r = value >> 2 & 1, value >> 1 & 1, value & 1
-        out = number >> value & 1
-        table[(l, c, r)] = out
-        lut[l, c, r] = out
-    return EcaRule(number=number, table=table, _lut=lut)
+    return EcaRule(number)
 
 
 def _eca_rule(rule: EcaRule | int) -> EcaRule:

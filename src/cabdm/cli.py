@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import bdm
-from .ca import evolve_eca, flip_cell, random_config, rule_table
+from .ca import _FROM_TEXT, _TO_TEXT, _cells, evolve_eca, flip_cell, random_config, rule_table
 from .collision import (
     CollisionReport, collision_experiment, evolve_interacting, sample_interaction_rule, collision_initial_state
 )
@@ -51,12 +51,8 @@ def emit_csv(rows, schema, path, config=None) -> None:
 
 
 def emit_pgm(spacetime, path, comments=None) -> None:
-    """Plain (P2) PGM with maxval 2, one image row per spacetime row."""
-    cells = np.asarray(getattr(spacetime, "cells", spacetime))
-    if cells.ndim != 2:
-        raise ValueError(f"can only render 2D arrays, got shape {cells.shape}")
-    if cells.size and (cells.min() < 0 or cells.max() > 2):
-        raise ValueError("PGM cells must be in {0, 1, 2}; map -1 to 2 first")
+    """Plain (P2) PGM with maxval 2 of a 2D {-1, 0, 1} array; -1 is written as 2."""
+    cells = _cells(getattr(spacetime, "cells", spacetime), (-1, 0, 1), 2)
     height, width = cells.shape
     lines = ["P2"]
     for comment in comments or []:
@@ -64,12 +60,12 @@ def emit_pgm(spacetime, path, comments=None) -> None:
     lines.append(f"{width} {height}")
     lines.append("2")
     for row in cells:
-        lines.append(" ".join(str(int(v)) for v in row))
+        lines.append(" ".join(row.tobytes().translate(_TO_TEXT).decode()))
     _write_lines(path, lines)
 
 
 def read_pgm(path) -> np.ndarray:
-    """Parse a plain PGM back into an array (round-trip of emit_pgm)."""
+    """Parse a plain PGM back into cells (round-trip of emit_pgm: 2 reads as -1)."""
     with open(path, "r", encoding="utf-8") as fh:
         tokens = []
         for line in fh:
@@ -78,16 +74,11 @@ def read_pgm(path) -> np.ndarray:
     if not tokens or tokens[0] != "P2":
         raise ValueError(f"{path}: not a plain PGM file")
     width, height, _maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    values = np.array([int(t) for t in tokens[4 : 4 + width * height]], dtype=np.int8)
-    if values.size != width * height:
+    pixels = tokens[4 : 4 + width * height]
+    if len(pixels) != width * height:
         raise ValueError(f"{path}: truncated pixel data")
-    return values.reshape(height, width)
-
-
-def ternary_to_pgm(cells) -> np.ndarray:
-    """Map {-1,0,1} cells onto PGM values {2,0,1}."""
-    arr = np.asarray(cells, dtype=np.int8)
-    return np.where(arr == -1, np.int8(2), arr)
+    text = "".join(pixels).encode().translate(_FROM_TEXT)  # a pixel over one digit long fails the reshape
+    return _cells(np.frombuffer(bytearray(text), dtype=np.int8), (-1, 0, 1)).reshape(height, width)
 
 
 def _resolve_table(args):
@@ -157,11 +148,11 @@ def _cmd_bdm(args) -> int:
     if len(rows) == 1:
         value = bdm.bdm_1d(rows[0], table, args.b).value
     else:
-        digits = np.array([[int(c) for c in row] for row in rows], dtype=np.int8)
+        cells = np.frombuffer("".join(rows).encode().translate(_FROM_TEXT), dtype=np.int8).reshape(len(rows), -1)
         try:
-            value = bdm.bdm_2d(np.where(digits == 2, np.int8(-1), digits), table, args.d).value
+            value = bdm.bdm_2d(cells, table, args.d).value
         except CoverageError as exc:
-            if not (digits == 2).any():
+            if not (cells == -1).any():
                 raise
             raise CoverageError(
                 f"{exc}: a grid with 2 cells makes {2 * args.d * args.d}-bit tiles at --d {args.d}; "
@@ -182,7 +173,7 @@ def _cmd_eca(args) -> int:
         print(f"wrote {args.dump}")
     else:
         for row in spacetime.cells:
-            print("".join(str(int(v)) for v in row))
+            print(row.tobytes().translate(_TO_TEXT).decode())
     return 0
 
 
@@ -256,7 +247,7 @@ def _collide(args, table, out) -> str:
     for seed in range(min(args.dump, args.n_rules)):
         interaction = sample_interaction_rule(args.rule_a, args.rule_b, seed)
         st = evolve_interacting(interaction, init, args.steps)
-        out.pgm(f"collision_seed{seed}.pgm", ternary_to_pgm(st.cells), ("interaction_seed", seed))
+        out.pgm(f"collision_seed{seed}.pgm", st, ("interaction_seed", seed))
     return f"wrote collision CSV ({len(reports)} reports) to {args.out}"
 
 

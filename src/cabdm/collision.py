@@ -11,6 +11,7 @@ is sampled as well and flagged on the rule.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -49,8 +50,8 @@ def sample_interaction_rule(rule_a: EcaRule | int, rule_b: EcaRule | int, seed: 
     stream = Stream(INTERACTION_LABEL, seed)
     mixed = {nbhd: stream.next_below(3) - 1 for nbhd in MIXED_NEIGHBORHOODS}
 
-    zero_a = rule_a.table[(0, 0, 0)]
-    zero_b = -rule_b.table[(0, 0, 0)]
+    zero_a = int(rule_a._lut[0, 0, 0])
+    zero_b = -int(rule_b._lut[0, 0, 0])
     zero_conflict = zero_a != zero_b
 
     lut = np.zeros((3, 3, 3), dtype=np.int8)
@@ -132,7 +133,7 @@ def collision_experiment(
         raise ValueError("n_rules must be >= 1")
     if interaction_seeds is None:
         interaction_seeds = range(n_rules)
-    seeds = [int(s) for s in interaction_seeds]
+    seeds = [operator.index(s) for s in interaction_seeds]
     if len(seeds) != n_rules:
         raise ValueError("interaction_seeds length must equal n_rules")
 
@@ -152,8 +153,8 @@ def collision_experiment(
         lzw_c = compressed_size(st.cells)
         reports.append(
             CollisionReport(
-                rule_a=int(rule_a),
-                rule_b=int(rule_b),
+                rule_a=operator.index(rule_a),
+                rule_b=operator.index(rule_b),
                 interaction_seed=seed,
                 bdm_collision=bdm_c,
                 bdm_a_iso=bdm_a,

@@ -41,6 +41,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .ca import _TO_TEXT
 from .parallel import _pmap
 from .rng import Stream
 
@@ -51,7 +52,6 @@ _TAPE_BYTES = (1 << 18) * (2 * DEFAULT_CUTOFF + 1)
 ENV_TABLE_DIR = "CABDM_TABLE_DIR"
 
 _COMPLEMENT = str.maketrans("01", "10")
-_BYTES_TO_01 = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class CoverageError(LookupError):
@@ -213,7 +213,7 @@ def _simulate_array(n: int, cutoff: int, indices) -> tuple[Counter, int]:
 
     counts: Counter = Counter()
     for i in np.flatnonzero(halted):
-        counts[tape[i, mn[i] : mx[i] + 1].tobytes().translate(_BYTES_TO_01).decode()] += 1
+        counts[tape[i, mn[i] : mx[i] + 1].tobytes().translate(_TO_TEXT).decode()] += 1
     return counts, max_steps
 
 
@@ -399,6 +399,14 @@ def load_table(path) -> CtmTable:
         raise CorruptTableError(f"{path}: non-integer header field") from exc
     if flag not in ("true", "false"):
         raise CorruptTableError(f"{path}: bad sampled flag {flag!r}")
+    if k != 2:
+        raise CorruptTableError(f"{path}: k={k}, but machines have 2 symbols")
+    if not 1 <= n <= 6:  # 6: the largest class with int64 indices; checked before class_size grows huge
+        raise CorruptTableError(f"{path}: n={n} outside 1..6")
+    if not 1 <= total <= class_size(n) or (flag == "false" and total != class_size(n)):
+        raise CorruptTableError(f"{path}: total={total} does not fit the ({n},2) class of {class_size(n)} machines")
+    if not 1 <= halting <= 2 * total:  # each machine adds its output and the complement
+        raise CorruptTableError(f"{path}: halting={halting} outside 1..2*total")
 
     entries: dict[str, tuple[int, float]] = {}
     for line in lines[body_start:]:

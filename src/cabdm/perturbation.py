@@ -9,6 +9,7 @@ measure(unperturbed).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -117,8 +118,8 @@ def perturbation_sweep(
     (rule, seed) pairs; aggregation happens in a fixed (rule, seed, flip)
     order, so the result is identical for any worker count.
     """
-    rules = tuple(int(r) for r in rules)
-    seed_list = tuple(range(seeds)) if isinstance(seeds, int) else tuple(int(s) for s in seeds)
+    rules = tuple(operator.index(r) for r in rules)
+    seed_list = tuple(range(seeds)) if isinstance(seeds, int) else tuple(operator.index(s) for s in seeds)
     if not rules or not seed_list:
         raise ValueError("need at least one rule and one seed")
     pairs = [(rule, seed) for rule in rules for seed in seed_list]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from cabdm import (
     bdm_2d,
@@ -254,6 +255,13 @@ BINARY_CONSUMERS = ("evolve_eca", "evolve_gol", "flatten_binary", "flip_cell", "
 ALPHABET_CASES = [(consumer, bad) for bad in (256, 255, -2, 0.5) for consumer in sorted(CELL_CONSUMERS)] + [
     (consumer, bad) for bad in (2, -1) for consumer in BINARY_CONSUMERS
 ]
+
+
+class TestCellText:
+    @given(arrays(np.int8, array_shapes(min_dims=1, max_dims=3, max_side=8), elements=st.integers(0, 1)))
+    @settings(max_examples=60)
+    def test_lzw_bytes_spell_the_block_string(self, cells):
+        assert serialize_cells(cells).decode() == flatten_binary(cells)
 
 
 class TestCellAlphabet:

@@ -1,8 +1,14 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from cabdm import cli, ctm, load_table
-from cabdm.cli import emit_csv, emit_pgm, read_pgm, run, ternary_to_pgm
+from cabdm import cli, ctm, evolve_eca, flatten_binary, load_table, random_config
+from cabdm.cli import emit_csv, emit_pgm, read_pgm, run
 
 
 class TestEmitPgm:
@@ -12,19 +18,27 @@ class TestEmitPgm:
         assert path.read_bytes() == b"P2\n3 2\n2\n0 0 0\n0 0 0\n"
 
     def test_round_trip(self, tmp_path):
-        cells = np.array([[0, 1, 2], [2, 0, 1]])
+        cells = np.array([[0, 1, -1], [-1, 0, 1]])
         path = tmp_path / "t.pgm"
         emit_pgm(cells, path, comments=["who=test"])
         assert np.array_equal(read_pgm(path), cells)
 
-    def test_ternary_mapping(self):
-        assert ternary_to_pgm(np.array([-1, 0, 1])).tolist() == [2, 0, 1]
+    @given(arrays(np.int8, array_shapes(min_dims=2, max_dims=2, max_side=8), elements=st.sampled_from((-1, 0, 1))))
+    @settings(max_examples=50, deadline=None)
+    def test_round_trip_any_cells(self, tmp_path_factory, cells):
+        path = tmp_path_factory.mktemp("pgm") / "t.pgm"
+        emit_pgm(cells, path)
+        assert np.array_equal(read_pgm(path), cells)
+
+    def test_ternary_mapping(self, tmp_path):
+        path = tmp_path / "t.pgm"
+        emit_pgm(np.array([[-1, 0, 1]]), path)
+        assert path.read_bytes() == b"P2\n3 1\n2\n2 0 1\n"
 
     def test_out_of_range_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_pgm(np.array([[3]]), tmp_path / "bad.pgm")
-        with pytest.raises(ValueError):
-            emit_pgm(np.array([[-1]]), tmp_path / "bad.pgm")
+        for bad in ([[2]], [[3]], [[0.5]], [0, 1], [[[0]]]):
+            with pytest.raises(ValueError):
+                emit_pgm(np.array(bad), tmp_path / "bad.pgm")
 
 
 class TestEmitCsv:
@@ -72,6 +86,16 @@ class TestRun:
         assert run(["eca", "--rule", "30", "--width", "7", "--steps", "1"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out == ["0001000", "0011100"]
+
+    @given(st.integers(0, 255), st.integers(1, 12), st.integers(1, 5), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_eca_rows_are_flattened_rows(self, rule, width, steps, seed):
+        args = ["eca", "--rule", str(rule), "--width", str(width), "--steps", str(steps)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(args + ["--init", "random", "--seed", str(seed)]) == 0
+        spacetime = evolve_eca(rule, random_config(seed, width, 0.5), steps)
+        assert out.getvalue().splitlines() == [flatten_binary(row) for row in spacetime.cells]
 
     def test_ctm_build_2_2_header(self, tmp_path):
         out = tmp_path / "t22.txt"

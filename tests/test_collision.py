@@ -193,6 +193,13 @@ class TestCollisionExperiment:
         reports = collision_experiment(30, 22, 14, 30, 12, table32)
         assert len({r.bdm_collision for r in reports}) > 1
 
+    def test_float_seeds_rejected_numpy_ints_accepted(self, table32):
+        with pytest.raises(TypeError):
+            collision_experiment(30, 22, 10, 18, 1, table32, interaction_seeds=[0.9])
+        reports = collision_experiment(np.int64(30), 22, 10, 18, 2, table32, interaction_seeds=np.arange(2))
+        assert [type(v) for v in (reports[0].rule_a, reports[1].interaction_seed)] == [int, int]
+        assert reports == collision_experiment(30, 22, 10, 18, 2, table32)
+
     def test_bad_parameters(self, table32):
         with pytest.raises(ValueError):
             collision_experiment(30, 22, -1, 10, 2, table32)

@@ -208,6 +208,53 @@ class TestSaveLoad:
         with pytest.raises(CorruptTableError):
             load_table(path)
 
+    @staticmethod
+    def _edited(table, tmp_path, **header):
+        """``table`` saved with some header fields replaced."""
+        path = tmp_path / "t.txt"
+        save_table(table, path)
+        lines = path.read_text().splitlines()
+        for key, value in header.items():
+            lines = [f"#{key}={value}" if line.startswith(f"#{key}=") else line for line in lines]
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_symbol_count_other_than_2_rejected(self, table22, tmp_path, k):
+        with pytest.raises(CorruptTableError, match=f"k={k}"):
+            load_table(self._edited(table22, tmp_path, k=k))
+
+    @pytest.mark.parametrize("n", [0, 7, 10**6])
+    def test_state_count_outside_1_to_6_rejected(self, table22, tmp_path, n):
+        with pytest.raises(CorruptTableError, match=f"n={n} outside"):
+            load_table(self._edited(table22, tmp_path, n=n))
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"total": 1},  # an unsampled table covers the whole class
+            {"n": 3},  # so its total is 7,529,536, not the 10,000 of (2,2)
+            {"total": 0, "sampled": "true"},
+            {"total": class_size(2) + 1, "sampled": "true"},
+        ],
+    )
+    def test_total_outside_class_rejected(self, table22, tmp_path, header):
+        with pytest.raises(CorruptTableError, match="total="):
+            load_table(self._edited(table22, tmp_path, **header))
+
+    def test_halting_past_twice_total_rejected(self, table22, tmp_path):
+        # Each machine adds at most its output and that output's complement.
+        total = table22.halting // 2 - 1
+        with pytest.raises(CorruptTableError, match="halting="):
+            load_table(self._edited(table22, tmp_path, total=total, sampled="true"))
+        with pytest.raises(CorruptTableError, match="halting="):
+            load_table(self._edited(table22, tmp_path, halting=0))
+
+    def test_halting_at_twice_total_accepted(self, table22, tmp_path):
+        total = table22.halting // 2
+        loaded = load_table(self._edited(table22, tmp_path, total=total, sampled="true"))
+        assert (loaded.total, loaded.sampled) == (total, True)
+
 
 class TestBuildTable:
     def test_worker_counts_agree_byte_for_byte(self, table22, tmp_path, monkeypatch):

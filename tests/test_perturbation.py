@@ -85,6 +85,15 @@ class TestSweep:
         assert a.reports == b.reports
         assert a.seeds == (5, 9)
 
+    def test_float_rules_and_seeds_rejected_numpy_ints_accepted(self, table32):
+        with pytest.raises(TypeError):
+            perturbation_sweep([30.7], 12, 6, [5], table32)
+        with pytest.raises(TypeError):
+            perturbation_sweep([30], 12, 6, [1.9], table32)
+        numpy_ints = perturbation_sweep([np.uint8(30)], 12, 6, [np.int64(5)], table32)
+        assert (numpy_ints.rules, numpy_ints.seeds) == ((30,), (5,))
+        assert numpy_ints.reports == perturbation_sweep([30], 12, 6, [5], table32).reports
+
     def test_mean_recomputable_from_reports(self, table32):
         """Bit for bit a running sum over seeds in seed order, then one division."""
         sweep = perturbation_sweep([22, 54], 10, 6, 3, table32)
