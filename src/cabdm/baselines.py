@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdm import partition_1d
+from .bdm import BlockPartition, partition_1d
 from .ca import _TO_TEXT, _cells
 
 
@@ -97,14 +97,20 @@ def shannon_block_entropy(s: str, b: int) -> float:
     Blocks are consecutive and non-overlapping; a trailing fragment shorter
     than b is ignored.
     """
-    if b < 1:
-        raise ValueError("block length must be >= 1")
-    if len(s) < b:
-        raise ValueError(f"need at least one full block: |s|={len(s)} < b={b}")
-    n_blocks = len(s) // b
+    return partition_entropy(partition_1d(s, b))
+
+
+def partition_entropy(partition: BlockPartition) -> float:
+    """``shannon_block_entropy`` of the string a ``partition_1d`` result cut up:
+    its full-length blocks, folded in first-appearance order."""
+    b = partition.block_size
+    n_blocks = partition.total_chars() // b
+    if not n_blocks:
+        raise ValueError(f"need at least one full block: |s|={partition.total_chars()} < b={b}")
     total = 0.0  # left-to-right, as in bdm._score: sum() rounds differently from 3.12
-    for _, c in partition_1d(s[: n_blocks * b], b).blocks:
-        total += c / n_blocks * math.log2(c / n_blocks)
+    for block, c in partition.blocks:
+        if len(block) == b:
+            total += c / n_blocks * math.log2(c / n_blocks)
     return -total
 
 

@@ -33,13 +33,15 @@ def _cells(values, alphabet, ndim=None) -> np.ndarray:
 class _TableRule:
     """A radius-1 rule stepped through its outcome table: a 2x2x2 (binary)
     or 3x3x3 (ternary) array indexed by the cell values themselves, where
-    numpy reads a -1 cell as the last slot."""
+    numpy reads a -1 cell as the last slot.  A stack of m tables, an
+    (m, 3, 3, 3) ``_lut``, steps an (m, width) batch, row i under table i."""
 
     _lut: np.ndarray
 
     def step(self, row: np.ndarray) -> np.ndarray:
-        """One synchronous update of a cyclic row."""
-        return self._lut[np.roll(row, 1), row, np.roll(row, -1)]
+        """One synchronous update of a cyclic row, or of every row of a stack."""
+        which = (np.arange(len(row))[:, None],) if self._lut.ndim > 3 else ()
+        return self._lut[(*which, np.roll(row, 1, axis=-1), row, np.roll(row, -1, axis=-1))]
 
 
 @dataclass(frozen=True)

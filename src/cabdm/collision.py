@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from . import bdm
+from . import bdm, ctm
 from .baselines import compressed_size
 from .ca import EcaRule, Spacetime, _cells, _eca_rule, _evolve, _TableRule, evolve_eca
 from .ctm import CtmTable
@@ -68,6 +68,13 @@ def sample_interaction_rule(rule_a: EcaRule | int, rule_b: EcaRule | int, seed: 
         zero_conflict=zero_conflict,
         _lut=lut,
     )
+
+
+@dataclass(frozen=True, eq=False)
+class _InteractionStack(_TableRule):
+    """m interaction rules stepped as one (m, width) batch, row i under rule i."""
+
+    _lut: np.ndarray  # (m,3,3,3): rule i's outcome table at index i
 
 
 def evolve_interacting(rule: InteractionRule, init, steps: int) -> Spacetime:
@@ -127,7 +134,8 @@ def collision_experiment(
 
     The isolated runs evolve each rule alone (in its binary form) from its
     own single seed on the same lattice; they do not depend on the sampled
-    interaction, so they are computed once.
+    interaction, so they are computed once.  The collisions evolve together,
+    in stacks of at most ``ctm._TAPE_BYTES`` bytes.
     """
     if n_rules < 1:
         raise ValueError("n_rules must be >= 1")
@@ -145,27 +153,29 @@ def collision_experiment(
     lzw_a = compressed_size(st_a.cells)
     lzw_b = compressed_size(st_b.cells)
 
+    interactions = [sample_interaction_rule(rule_a, rule_b, seed) for seed in seeds]
     reports = []
-    for seed in seeds:
-        interaction = sample_interaction_rule(rule_a, rule_b, seed)
-        st = evolve_interacting(interaction, init, steps)
-        bdm_c = bdm.bdm_1d(bdm.flatten_ternary(st.cells), table, b).value
-        lzw_c = compressed_size(st.cells)
-        reports.append(
-            CollisionReport(
-                rule_a=operator.index(rule_a),
-                rule_b=operator.index(rule_b),
-                interaction_seed=seed,
-                bdm_collision=bdm_c,
-                bdm_a_iso=bdm_a,
-                bdm_b_iso=bdm_b,
-                delta_bdm_a=bdm_c - bdm_a,
-                delta_bdm_b=bdm_c - bdm_b,
-                lzw_collision=lzw_c,
-                lzw_a_iso=lzw_a,
-                lzw_b_iso=lzw_b,
-                delta_lzw_a=lzw_c - lzw_a,
-                delta_lzw_b=lzw_c - lzw_b,
+    for part in ctm._budget_chunks(interactions, (steps + 1) * len(init)):
+        stack = _InteractionStack(np.stack([r._lut for r in part]))
+        cells = _evolve(stack, np.tile(init, (len(part), 1)), steps).cells
+        for i, interaction in enumerate(part):
+            bdm_c = bdm.bdm_1d(bdm.flatten_ternary(cells[:, i]), table, b).value
+            lzw_c = compressed_size(cells[:, i])
+            reports.append(
+                CollisionReport(
+                    rule_a=operator.index(rule_a),
+                    rule_b=operator.index(rule_b),
+                    interaction_seed=interaction.seed,
+                    bdm_collision=bdm_c,
+                    bdm_a_iso=bdm_a,
+                    bdm_b_iso=bdm_b,
+                    delta_bdm_a=bdm_c - bdm_a,
+                    delta_bdm_b=bdm_c - bdm_b,
+                    lzw_collision=lzw_c,
+                    lzw_a_iso=lzw_a,
+                    lzw_b_iso=lzw_b,
+                    delta_lzw_a=lzw_c - lzw_a,
+                    delta_lzw_b=lzw_c - lzw_b,
+                )
             )
-        )
     return reports

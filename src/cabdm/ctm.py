@@ -46,8 +46,8 @@ from .parallel import _pmap
 from .rng import Stream
 
 DEFAULT_CUTOFF = 107  # sound for n <= 4: no (4,2) machine halts later
-# Bytes one chunk's tapes, or a sample's int64 indices, may take: 2^18
-# tapes at the default cutoff.
+# Bytes one chunk's tapes, a sample's int64 indices, or one batch of
+# spacetimes evolved together may take: 2^18 tapes at the default cutoff.
 _TAPE_BYTES = (1 << 18) * (2 * DEFAULT_CUTOFF + 1)
 ENV_TABLE_DIR = "CABDM_TABLE_DIR"
 
@@ -282,6 +282,13 @@ def _stratified_sample(total: int, size: int, seed: int) -> np.ndarray:
         return lo + stream.next_below(hi - lo)
 
     return np.fromiter(map(pick, range(size)), dtype=np.int64, count=size)
+
+
+def _budget_chunks(items, item_bytes: int) -> list:
+    """``items`` cut into consecutive runs of at most ``_TAPE_BYTES`` bytes,
+    at ``item_bytes`` each, and at least one item per run."""
+    size = max(1, _TAPE_BYTES // item_bytes)
+    return [items[lo : lo + size] for lo in range(0, len(items), size)]
 
 
 def _machine_jobs(n, cutoff, sample, sample_seed, allow_long_run, workers):

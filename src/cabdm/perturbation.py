@@ -15,9 +15,9 @@ from functools import partial
 
 import numpy as np
 
-from . import bdm
-from .baselines import compressed_size, shannon_block_entropy, temporal_cell_entropy
-from .ca import evolve_eca, evolve_gol, flip_cell, random_config, random_grid
+from . import bdm, ctm
+from .baselines import compressed_size, partition_entropy, temporal_cell_entropy
+from .ca import _eca_rule, _evolve, evolve_eca, evolve_gol, flip_cell, random_config, random_grid
 from .ctm import CtmTable
 from .parallel import _pmap
 
@@ -51,13 +51,9 @@ class SweepResult:
 
 
 def spacetime_measures(cells: np.ndarray, table: CtmTable, b: int) -> tuple[float, int, float]:
-    """(BDM bits, LZW bytes, block entropy) of a binary spacetime array."""
-    flat = bdm.flatten_binary(cells)
-    return (
-        bdm.bdm_1d(flat, table, b).value,
-        compressed_size(cells),
-        shannon_block_entropy(flat, b),
-    )
+    """(BDM bits, LZW bytes, block entropy) of a binary spacetime; the entropy counts the BDM blocks."""
+    value = bdm.bdm_1d(bdm.flatten_binary(cells), table, b)
+    return value.value, compressed_size(cells), partition_entropy(value.partition)
 
 
 def delta_measures(
@@ -74,25 +70,38 @@ def delta_measures(
 
 
 def _flip_deltas(rule, init, flips, steps, table, b, seed) -> list[DeltaReport]:
-    """Score each flip position against one unperturbed run of ``init``."""
-    init = np.asarray(init, dtype=np.int8)
-    m0 = spacetime_measures(evolve_eca(rule, init, steps).cells, table, b)
-    reports = []
-    for flip in flips:
-        m1 = m0 if flip is None else spacetime_measures(evolve_eca(rule, flip_cell(init, flip), steps).cells, table, b)
-        reports.append(
-            DeltaReport(
-                delta_bdm=m1[0] - m0[0],
-                delta_compressed_bytes=m1[1] - m0[1],
-                delta_entropy=m1[2] - m0[2],
-                rule=rule,
-                seed=seed,
-                flip_pos=flip,
-                width=init.shape[0],
-                steps=steps,
-            )
+    """Score each flip position against one unperturbed run of ``init``.
+
+    The flipped rows evolve together, in stacks of at most ``ctm._TAPE_BYTES``
+    bytes; a flip of None leaves its row unflipped.
+    """
+    rule = _eca_rule(rule)
+    base = evolve_eca(rule, init, steps).cells
+    width = base.shape[1]
+    m0 = spacetime_measures(base, table, b)
+    measures = []
+    for part in ctm._budget_chunks(flips, (steps + 1) * width):
+        rows = np.tile(base[0], (len(part), 1))
+        for row, flip in zip(rows, part):
+            if flip is not None:
+                if not 0 <= flip < width:
+                    raise IndexError(f"flip position {flip!r} out of bounds for width {width}")
+                row[flip] ^= 1
+        cells = _evolve(rule, rows, steps).cells
+        measures += [spacetime_measures(cells[:, i], table, b) for i in range(len(rows))]
+    return [
+        DeltaReport(
+            delta_bdm=m1[0] - m0[0],
+            delta_compressed_bytes=m1[1] - m0[1],
+            delta_entropy=m1[2] - m0[2],
+            rule=rule.number,
+            seed=seed,
+            flip_pos=flip,
+            width=width,
+            steps=steps,
         )
-    return reports
+        for flip, m1 in zip(flips, measures)
+    ]
 
 
 def _sweep_cell(pair, width, steps, density, table, b) -> list[DeltaReport]:
@@ -119,7 +128,10 @@ def perturbation_sweep(
     order, so the result is identical for any worker count.
     """
     rules = tuple(operator.index(r) for r in rules)
-    seed_list = tuple(range(seeds)) if isinstance(seeds, int) else tuple(operator.index(s) for s in seeds)
+    try:
+        seed_list = tuple(range(operator.index(seeds)))
+    except TypeError:
+        seed_list = tuple(operator.index(s) for s in seeds)
     if not rules or not seed_list:
         raise ValueError("need at least one rule and one seed")
     pairs = [(rule, seed) for rule in rules for seed in seed_list]

@@ -110,6 +110,13 @@ class TestBlockEntropy:
         for b in (1, 2, 3):
             assert shannon_block_entropy(s, b) == shannon_block_entropy(comp, b)
 
+    def test_trailing_fragment_ignored(self):
+        stream = Stream("entropy-tail", 0)
+        for b in (2, 3, 6):
+            s = "".join(str(stream.next_below(2)) for _ in range(10 * b))
+            for tail in ("0", "1", "01", "10110"):
+                assert shannon_block_entropy(s + tail[: b - 1], b) == shannon_block_entropy(s, b)
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             shannon_block_entropy("01", 3)

@@ -19,6 +19,7 @@ from cabdm import (
     serialize_cells,
     temporal_cell_entropy,
 )
+from cabdm.ca import _evolve
 
 
 class TestRuleTable:
@@ -101,6 +102,16 @@ class TestEvolveEca:
             init = random_config(number, 17, 0.5, label="mirror-test")
             mirrored = evolve_eca(rule.mirror(), init[::-1].copy(), 9)
             assert np.array_equal(mirrored.cells, evolve_eca(rule, init, 9).cells[:, ::-1])
+
+    def test_stacked_rows_evolve_as_single_rows(self):
+        # An (F, W) stack steps every row on its own ring: row f of each time
+        # slice is the single-row evolution of row f.
+        for number in (0, 30, 54, 90, 110, 255):
+            rows = np.array([random_config(number * 7 + f, 13, 0.5, label="stack-test") for f in range(5)])
+            stacked = _evolve(rule_table(number), rows, 9)
+            assert stacked.cells.shape == (10, 5, 13) and stacked.verify()
+            for f, row in enumerate(rows):
+                assert np.array_equal(stacked.cells[:, f], evolve_eca(number, row, 9).cells), (number, f)
 
 
 class TestEvolveGol:

@@ -14,7 +14,9 @@ from cabdm import (
     rule_table,
     sample_interaction_rule,
 )
-from cabdm.collision import INTERACTION_LABEL
+from cabdm import ctm
+from cabdm.ca import _evolve
+from cabdm.collision import INTERACTION_LABEL, _InteractionStack
 from cabdm.rng import Stream
 
 
@@ -103,6 +105,20 @@ class TestInteractionTable:
                 expected = reference_outcomes(rule_a, rule_b, seed)
                 got = {h: int(interaction.step(row)[1]) for h, row in zip(hoods, rows)}
                 assert got == expected, (rule_a, rule_b, seed)
+
+    @pytest.mark.parametrize("rule_b", [0, 1, 22, 30, 54, 110, 128, 255])
+    def test_stacked_step_matches_rule_by_rule(self, rule_b):
+        interactions = [
+            sample_interaction_rule(rule_a, rule_b, seed)
+            for rule_a in range(256)
+            for seed in (0, rule_a * 31 + rule_b)
+        ]
+        stream = Stream("stacked-step", rule_b)
+        rows = np.array([[stream.next_below(3) - 1 for _ in range(11)] for _ in interactions], dtype=np.int8)
+        stacked = _evolve(_InteractionStack(np.stack([r._lut for r in interactions])), rows, 6).cells
+        for i, (interaction, row) in enumerate(zip(interactions, rows)):
+            alone = evolve_interacting(interaction, row, 6).cells
+            assert np.array_equal(stacked[:, i], alone), (interaction.rule_a.number, rule_b, interaction.seed)
 
 
 class TestEvolveInteracting:
@@ -199,6 +215,13 @@ class TestCollisionExperiment:
         reports = collision_experiment(np.int64(30), 22, 10, 18, 2, table32, interaction_seeds=np.arange(2))
         assert [type(v) for v in (reports[0].rule_a, reports[1].interaction_seed)] == [int, int]
         assert reports == collision_experiment(30, 22, 10, 18, 2, table32)
+
+    def test_chunked_stacks_match_one_stack(self, table32, monkeypatch):
+        whole = collision_experiment(30, 22, 10, 18, 7, table32)
+        width = collision_lattice(10, 18)[0]
+        for rows in (3, 1):  # 7 rules as stacks of 3, 3, 1, then as seven stacks of 1
+            monkeypatch.setattr(ctm, "_TAPE_BYTES", rows * 19 * width)
+            assert collision_experiment(30, 22, 10, 18, 7, table32) == whole
 
     def test_bad_parameters(self, table32):
         with pytest.raises(ValueError):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from cabdm import (
+    EcaRule,
     bdm_1d,
     bdm_2d,
+    compressed_size,
     delta_measures,
     evolve_eca,
     evolve_gol,
@@ -13,8 +15,11 @@ from cabdm import (
     perturbation_sweep,
     perturbation_trace,
     random_config,
+    shannon_block_entropy,
     spacetime_measures,
 )
+from cabdm import ctm, perturbation
+from cabdm.perturbation import INIT_LABEL
 
 
 class TestDeltaMeasures:
@@ -60,6 +65,28 @@ class TestDeltaMeasures:
         assert forward.delta_compressed_bytes == -backward.delta_compressed_bytes
         assert forward.delta_entropy == pytest.approx(-backward.delta_entropy, abs=1e-9)
 
+    def test_rule_recorded_as_plain_int(self, table32):
+        init = random_config(3, 20, 0.5)
+        for rule in (30, EcaRule(30), np.uint8(30), np.int64(30)):
+            report = delta_measures(rule, init, 4, 6, table32)
+            assert type(report.rule) is int and report.rule == 30
+            assert report == delta_measures(30, init, 4, 6, table32)
+
+    def test_flip_out_of_bounds(self, table32):
+        init = random_config(3, 20, 0.5)
+        for flip in (-1, 20):
+            with pytest.raises(IndexError):
+                delta_measures(30, init, flip, 6, table32)
+
+
+class TestSpacetimeMeasures:
+    def test_entropy_equals_block_entropy_of_flattened_string(self, table32):
+        for width, steps, b in ((7, 4, 6), (11, 5, 4), (13, 3, 7), (101, 80, 6), (9, 2, 5)):
+            cells = evolve_eca(30, random_config(width, width, 0.5), steps).cells
+            flat = flatten_binary(cells)
+            assert len(flat) % b != 0
+            assert spacetime_measures(cells, table32, b)[2] == shannon_block_entropy(flat, b)
+
 
 class TestSweep:
     def test_matrix_shape(self, table32):
@@ -93,6 +120,51 @@ class TestSweep:
         numpy_ints = perturbation_sweep([np.uint8(30)], 12, 6, [np.int64(5)], table32)
         assert (numpy_ints.rules, numpy_ints.seeds) == ((30,), (5,))
         assert numpy_ints.reports == perturbation_sweep([30], 12, 6, [5], table32).reports
+        counted = perturbation_sweep([30], 12, 6, 2, table32)
+        for count in (np.int64(2), np.uint8(2), np.array(2)):
+            sweep = perturbation_sweep([30], 12, 6, count, table32)
+            assert sweep.seeds == (0, 1) and sweep.reports == counted.reports
+        with pytest.raises(TypeError):
+            perturbation_sweep([30], 12, 6, 2.0, table32)
+
+    def test_batched_sweep_matches_chunks_workers_and_per_flip_reference(self, table32, monkeypatch):
+        rules, width, steps, seeds, b = (30, 54), 10, 7, 2, 6
+        whole = perturbation_sweep(rules, width, steps, seeds, table32)
+        runs = [perturbation_sweep(rules, width, steps, seeds, table32, workers=2)]
+        batches = []
+        evolve = perturbation._evolve
+
+        def recording_evolve(rule, init, n):
+            batches.append(init.shape)
+            return evolve(rule, init, n)
+
+        monkeypatch.setattr(perturbation, "_evolve", recording_evolve)
+        for rows in (3, 1):  # 10 flips as chunks of 3, 3, 3, 1, then as ten chunks of 1
+            monkeypatch.setattr(ctm, "_TAPE_BYTES", rows * (steps + 1) * width)
+            batches.clear()
+            runs.append(perturbation_sweep(rules, width, steps, seeds, table32))
+            assert max(shape[0] for shape in batches) == rows
+            assert [shape[0] for shape in batches[:4]] == ([3, 3, 3, 1] if rows == 3 else [1] * 4)
+        for run in runs:
+            assert run.reports == whole.reports
+            for name in ("mean_delta_bdm", "mean_delta_lzw", "mean_delta_entropy"):
+                assert np.array_equal(getattr(run, name), getattr(whole, name))
+
+        def measures(cells):
+            flat = flatten_binary(cells)
+            return bdm_1d(flat, table32, b).value, compressed_size(cells), shannon_block_entropy(flat, b)
+
+        reports = iter(whole.reports)
+        for rule in rules:
+            for seed in range(seeds):
+                init = random_config(seed, width, 0.5, label=INIT_LABEL)
+                m0 = measures(evolve_eca(rule, init, steps).cells)
+                for flip in range(width):
+                    m1 = measures(evolve_eca(rule, flip_cell(init, flip), steps).cells)
+                    deltas = tuple(x1 - x0 for x1, x0 in zip(m1, m0))
+                    report = next(reports)
+                    assert (report.rule, report.seed, report.flip_pos) == (rule, seed, flip)
+                    assert (report.delta_bdm, report.delta_compressed_bytes, report.delta_entropy) == deltas
 
     def test_mean_recomputable_from_reports(self, table32):
         """Bit for bit a running sum over seeds in seed order, then one division."""
