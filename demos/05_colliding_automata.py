@@ -26,7 +26,7 @@ def main():
         print(f"  {nbhd} -> {outcome:+d}")
 
     st = evolve_interacting(interaction, collision_initial_state(gap, steps), steps)
-    print(f"\ncollision spacetime ('#'=+1 cells, 'o'=-1 cells), lattice {st.width}:")
+    print(f"\ncollision spacetime ('#'=+1 cells, 'o'=-1 cells), lattice {st.cells.shape[1]}:")
     for row in st.cells:
         print("".join(GLYPHS[int(v)] for v in row))
 

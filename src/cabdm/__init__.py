@@ -34,7 +34,6 @@ from .ca import (
     flip_cell,
     random_config,
     random_grid,
-    rule_table,
 )
 from .collision import (
     MIXED_NEIGHBORHOODS,
@@ -57,8 +56,6 @@ from .ctm import (
     class_size,
     decode_machine,
     default_table,
-    encode_machine,
-    enumerate_machines,
     load_table,
     max_halting_steps,
     run_machine,
@@ -110,8 +107,6 @@ __all__ = [
     "decode_machine",
     "default_table",
     "delta_measures",
-    "encode_machine",
-    "enumerate_machines",
     "evolve_eca",
     "evolve_gol",
     "evolve_interacting",
@@ -128,7 +123,6 @@ __all__ = [
     "perturbation_trace",
     "random_config",
     "random_grid",
-    "rule_table",
     "run_machine",
     "sample_interaction_rule",
     "save_table",

@@ -26,16 +26,22 @@ class LzwResult:
     compressed_bytes: int
 
 
-def _code_width(position: int) -> int:
-    # Emitting code number `position` finds 256 + position phrases assigned.
-    return max(9, (256 + position).bit_length())
+def _compressed_bits(n_codes: int) -> int:
+    """Total width of the first ``n_codes`` codes.  Emitting code number i
+    finds 256 + i phrases assigned, so it takes max(9, (256 + i).bit_length())
+    bits: the first 256 codes take 9 bits, the next 512 take 10, and so on."""
+    bits, width, start = 0, 9, 0
+    while start < n_codes:
+        end = min(n_codes, (1 << width) - 256)  # the first code that needs width + 1 bits
+        bits += (end - start) * width
+        start, width = end, width + 1
+    return bits
 
 
 def lzw_compress(data: bytes) -> LzwResult:
     """Classic longest-match LZW over raw bytes."""
     data = bytes(data)
     codes: list[int] = []
-    bits = 0
     if data:
         phrases: dict[tuple[int, int], int] = {}
         next_code = 256
@@ -45,13 +51,12 @@ def lzw_compress(data: bytes) -> LzwResult:
             if extended is not None:
                 current = extended
                 continue
-            bits += _code_width(len(codes))
             codes.append(current)
             phrases[(current, byte)] = next_code
             next_code += 1
             current = byte
-        bits += _code_width(len(codes))
         codes.append(current)
+    bits = _compressed_bits(len(codes))
     return LzwResult(codes=tuple(codes), compressed_bits=bits, compressed_bytes=-(-bits // 8))
 
 

@@ -39,7 +39,6 @@ class BlockPartition:
 
     blocks: tuple[tuple[str, int], ...]
     block_size: int
-    remainder: int  # leftover cells per axis pass (0 when the size divides)
 
     def total_chars(self) -> int:
         return sum(len(s) * n for s, n in self.blocks)
@@ -49,9 +48,6 @@ class BlockPartition:
 class BdmValue:
     value: float
     partition: BlockPartition
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def flatten_binary(arr) -> str:
@@ -86,7 +82,6 @@ def partition_1d(s: str, b: int) -> BlockPartition:
     return BlockPartition(
         blocks=tuple(counts.items()),
         block_size=b,
-        remainder=len(s) % b,
     )
 
 
@@ -133,9 +128,5 @@ def bdm_2d(a, table: CtmTable, d: int = DEFAULT_BLOCK_SIDE_2D) -> BdmValue:
     uniq, first, n = np.unique(codes.ravel(), return_index=True, return_counts=True)
     order = np.argsort(first)  # first appearance, row-major
     str_counts = {format(code, "b")[1:]: c for code, c in zip(uniq[order].tolist(), n[order].tolist())}
-    partition = BlockPartition(
-        blocks=tuple(str_counts.items()),
-        block_size=d,
-        remainder=(height % d) * width + (width % d) * (height - height % d),
-    )
+    partition = BlockPartition(blocks=tuple(str_counts.items()), block_size=d)
     return BdmValue(value=_score(str_counts, table), partition=partition)

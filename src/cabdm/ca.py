@@ -8,6 +8,7 @@ allocated.  A spacetime always includes the initial configuration as row 0.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,22 +66,13 @@ class EcaRule(_TableRule):
     def table(self) -> dict[tuple[int, int, int], int]:
         return dict(zip(np.ndindex(2, 2, 2), self._lut.ravel().tolist()))
 
-    def mirror(self) -> "EcaRule":
-        """The left-right conjugate rule (neighborhoods read backwards)."""
-        return EcaRule(int(np.packbits(self._lut.transpose(2, 1, 0), bitorder="little")[0]))
-
     def __repr__(self) -> str:
         return f"EcaRule({self.number})"
 
 
-def rule_table(number: int) -> EcaRule:
-    """Build the 8-entry lookup table for a Wolfram rule number."""
-    return EcaRule(number)
-
-
 def _eca_rule(rule: EcaRule | int) -> EcaRule:
     """A rule number or an ``EcaRule``, as an ``EcaRule``."""
-    return rule if isinstance(rule, EcaRule) else rule_table(rule)
+    return rule if isinstance(rule, EcaRule) else EcaRule(rule)
 
 
 @dataclass
@@ -88,29 +80,10 @@ class Spacetime:
     """A full evolution: row t of ``cells`` is the configuration at time t.
 
     ``cells`` is (steps+1, width) for 1D automata or (steps+1, height,
-    width) for 2D ones.  ``rule`` keeps the object that produced it (any
-    engine with a ``step`` method, so the evolution can be re-verified).
+    width) for 2D ones.
     """
 
     cells: np.ndarray
-    rule: object | None = None
-
-    @property
-    def steps(self) -> int:
-        return self.cells.shape[0] - 1
-
-    @property
-    def width(self) -> int:
-        return self.cells.shape[-1]
-
-    def verify(self) -> bool:
-        """Recompute every transition; True iff the stored rows match."""
-        if self.rule is None or not hasattr(self.rule, "step"):
-            raise ValueError("spacetime carries no rule to verify against")
-        for t in range(self.cells.shape[0] - 1):
-            if not np.array_equal(self.rule.step(self.cells[t]), self.cells[t + 1]):
-                return False
-        return True
 
 
 def _evolve(rule, init: np.ndarray, steps: int) -> Spacetime:
@@ -121,7 +94,7 @@ def _evolve(rule, init: np.ndarray, steps: int) -> Spacetime:
     out[0] = init
     for t in range(steps):
         out[t + 1] = rule.step(out[t])
-    return Spacetime(cells=out, rule=rule)
+    return Spacetime(cells=out)
 
 
 def evolve_eca(rule: EcaRule | int, init, steps: int) -> Spacetime:
@@ -139,9 +112,6 @@ class _GolRule:
         rows = grid + np.roll(grid, 1, axis=0) + np.roll(grid, -1, axis=0)
         box = rows + np.roll(rows, 1, axis=1) + np.roll(rows, -1, axis=1)
         return ((box == 3) | ((grid == 1) & (box == 4))).astype(np.int8)
-
-    def __repr__(self) -> str:
-        return "GolRule(B3/S23)"
 
 
 GOL_RULE = _GolRule()
@@ -184,7 +154,7 @@ def random_grid(seed: int, width: int, height: int, density: float, label: str =
 def flip_cell(config, index) -> np.ndarray:
     """Copy of ``config`` with the cell at ``index`` complemented (0 <-> 1)."""
     arr = _cells(config, (0, 1)).copy()
-    idx = tuple(index) if isinstance(index, (tuple, list)) else (int(index),)
+    idx = tuple(map(operator.index, index if isinstance(index, (tuple, list)) else (index,)))
     if len(idx) != arr.ndim:
         raise IndexError(f"index {index!r} does not address a {arr.ndim}-dimensional configuration")
     for i, size in zip(idx, arr.shape):

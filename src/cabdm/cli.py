@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import bdm
-from .ca import _FROM_TEXT, _TO_TEXT, _cells, evolve_eca, flip_cell, random_config, rule_table
+from .ca import _FROM_TEXT, _TO_TEXT, _cells, evolve_eca, flip_cell, random_config
 from .collision import (
     CollisionReport, collision_experiment, evolve_interacting, sample_interaction_rule, collision_initial_state
 )
@@ -167,7 +167,7 @@ def _cmd_eca(args) -> int:
         init = flip_cell(np.zeros(args.width, dtype=np.int8), args.width // 2)
     else:
         init = random_config(args.seed, args.width, args.density)
-    spacetime = evolve_eca(rule_table(args.rule), init, args.steps)
+    spacetime = evolve_eca(args.rule, init, args.steps)
     if args.dump:
         _Outputs(args, args.echo).pgm(args.dump, spacetime)
         print(f"wrote {args.dump}")

@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,12 +103,6 @@ def _digit_to_transition(digit: int, n: int) -> Transition:
     )
 
 
-def _transition_to_digit(t: Transition, n: int) -> int:
-    if t.halts:
-        return 4 * n + t.write
-    return (t.next_state - 1) * 4 + (0 if t.move == "L" else 2) + t.write
-
-
 def decode_machine(index: int, n: int) -> TuringMachine:
     """Inverse of ``machine_index``: digits become transition entries."""
     if not 0 <= index < class_size(n):
@@ -121,21 +115,6 @@ def decode_machine(index: int, n: int) -> TuringMachine:
             transitions[(q, a)] = _digit_to_transition(x % base, n)
             x //= base
     return TuringMachine(states=n, symbols=2, machine_index=index, transitions=transitions)
-
-
-def encode_machine(machine: TuringMachine) -> int:
-    base = 4 * machine.states + 2
-    index = 0
-    for q in range(machine.states, 0, -1):
-        for a in range(machine.symbols - 1, -1, -1):
-            index = index * base + _transition_to_digit(machine.transitions[(q, a)], machine.states)
-    return index
-
-
-def enumerate_machines(n: int) -> Iterator[TuringMachine]:
-    """Yield every machine of the class once, in ascending index order."""
-    for index in range(class_size(n)):
-        yield decode_machine(index, n)
 
 
 def run_machine(machine: TuringMachine, cutoff: int) -> RunOutcome:

@@ -76,6 +76,7 @@ def _flip_deltas(rule, init, flips, steps, table, b, seed) -> list[DeltaReport]:
     bytes; a flip of None leaves its row unflipped.
     """
     rule = _eca_rule(rule)
+    flips = [None if flip is None else operator.index(flip) for flip in flips]
     base = evolve_eca(rule, init, steps).cells
     width = base.shape[1]
     m0 = spacetime_measures(base, table, b)

@@ -44,6 +44,28 @@ class TestLzw:
         over = [i for i, _ in enumerate(result.codes) if 256 + i >= 512]
         assert result.compressed_bits == 9 * (len(result.codes) - len(over)) + 10 * len(over)
 
+    def test_bits_follow_code_widths_across_boundaries(self):
+        # One more input byte adds at most one code, so the prefixes of one
+        # string reach every code count; pick those on each side of the 9->10,
+        # 10->11 and 11->12-bit boundaries (code numbers 256, 768 and 1792).
+        stream = Stream("lzw-widths", 0)
+        data = bytes(stream.next_below(256) for _ in range(6000))
+        total = len(lzw_compress(data).codes)
+        assert total > 1793
+
+        def prefix_with(n_codes):
+            lo, hi = 1, len(data)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (mid + 1, hi) if len(lzw_compress(data[:mid]).codes) < n_codes else (lo, mid)
+            return data[:lo]
+
+        for n_codes in (255, 256, 257, 767, 768, 769, 1791, 1792, 1793, total):
+            result = lzw_compress(prefix_with(n_codes))
+            assert len(result.codes) == n_codes
+            assert result.compressed_bits == sum(max(9, (256 + i).bit_length()) for i in range(n_codes))
+            assert result.compressed_bytes == -(-result.compressed_bits // 8)
+
     @given(st.binary(max_size=3000))
     @settings(max_examples=120, deadline=None)
     def test_round_trip(self, data):

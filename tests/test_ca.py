@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,16 +7,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from cabdm import (
+    EcaRule,
     bdm_2d,
+    delta_measures,
     evolve_eca,
     evolve_gol,
     evolve_interacting,
     flatten_binary,
     flatten_ternary,
     flip_cell,
+    perturbation_trace,
     random_config,
     random_grid,
-    rule_table,
     sample_interaction_rule,
     serialize_cells,
     temporal_cell_entropy,
@@ -22,9 +26,19 @@ from cabdm import (
 from cabdm.ca import _evolve
 
 
+def reference_eca(number, init, steps):
+    """Wolfram numbering read cell by cell: on a cyclic row, a cell becomes
+    bit 4*left + 2*centre + right of the rule number."""
+    rows = [[int(v) for v in init]]
+    for _ in range(steps):
+        row = rows[-1]
+        rows.append([number >> (4 * row[i - 1] + 2 * row[i] + row[(i + 1) % len(row)]) & 1 for i in range(len(row))])
+    return np.array(rows, dtype=np.int8)
+
+
 class TestRuleTable:
     def test_rule_30_table(self):
-        rule = rule_table(30)
+        rule = EcaRule(30)
         expected = {
             (1, 1, 1): 0, (1, 1, 0): 0, (1, 0, 1): 0, (1, 0, 0): 1,
             (0, 1, 1): 1, (0, 1, 0): 1, (0, 0, 1): 1, (0, 0, 0): 0,
@@ -32,20 +46,20 @@ class TestRuleTable:
         assert rule.table == expected
 
     def test_rule_0_all_zero(self):
-        assert set(rule_table(0).table.values()) == {0}
+        assert set(EcaRule(0).table.values()) == {0}
 
     def test_rule_204_is_identity(self):
-        rule = rule_table(204)
+        rule = EcaRule(204)
         assert all(out == c for (_, c, _), out in rule.table.items())
 
     @pytest.mark.parametrize("number", [-1, 256, 1000])
     def test_out_of_range_rejected(self, number):
         with pytest.raises(ValueError):
-            rule_table(number)
+            EcaRule(number)
 
     def test_numbering_bit_convention(self):
         for number in (1, 2, 22, 30, 54, 100, 255):
-            rule = rule_table(number)
+            rule = EcaRule(number)
             for (l, c, r), out in rule.table.items():
                 assert out == (number >> (4 * l + 2 * c + r)) & 1
 
@@ -80,11 +94,10 @@ class TestEvolveEca:
         with pytest.raises(ValueError):
             evolve_eca(30, [0, 1, 0], 0)
 
-    def test_verify_recomputes_evolution(self):
-        st_ = evolve_eca(110, random_config(1, 30, 0.5), 10)
-        assert st_.verify()
-        st_.cells[4, 7] ^= 1
-        assert not st_.verify()
+    def test_matches_reference_stepper(self):
+        for number in range(256):
+            init = random_config(number, 30, 0.5, label="reference-test")
+            assert np.array_equal(evolve_eca(number, init, 10).cells, reference_eca(number, init, 10)), number
 
     def test_shift_equivariance_all_rules(self):
         # Cyclic shift of the input shifts the whole evolution.
@@ -97,20 +110,27 @@ class TestEvolveEca:
             assert np.array_equal(direct.cells, shifted), f"rule {number}"
 
     def test_mirror_conjugacy(self):
+        # The left-right conjugate reads every neighbourhood backwards: its
+        # bit 4r+2c+l is bit 4l+2c+r of the rule.
+        def mirror(number):
+            hoods = product((0, 1), repeat=3)
+            return sum((number >> (4 * l + 2 * c + r) & 1) << (4 * r + 2 * c + l) for l, c, r in hoods)
+
+        assert (mirror(30), mirror(110), mirror(54), mirror(90)) == (86, 124, 54, 90)
         for number in (30, 54, 110, 90, 2):
-            rule = rule_table(number)
             init = random_config(number, 17, 0.5, label="mirror-test")
-            mirrored = evolve_eca(rule.mirror(), init[::-1].copy(), 9)
-            assert np.array_equal(mirrored.cells, evolve_eca(rule, init, 9).cells[:, ::-1])
+            mirrored = evolve_eca(mirror(number), init[::-1].copy(), 9)
+            assert np.array_equal(mirrored.cells, evolve_eca(number, init, 9).cells[:, ::-1])
 
     def test_stacked_rows_evolve_as_single_rows(self):
         # An (F, W) stack steps every row on its own ring: row f of each time
         # slice is the single-row evolution of row f.
         for number in (0, 30, 54, 90, 110, 255):
             rows = np.array([random_config(number * 7 + f, 13, 0.5, label="stack-test") for f in range(5)])
-            stacked = _evolve(rule_table(number), rows, 9)
-            assert stacked.cells.shape == (10, 5, 13) and stacked.verify()
+            stacked = _evolve(EcaRule(number), rows, 9)
+            assert stacked.cells.shape == (10, 5, 13)
             for f, row in enumerate(rows):
+                assert np.array_equal(stacked.cells[:, f], reference_eca(number, row, 9)), (number, f)
                 assert np.array_equal(stacked.cells[:, f], evolve_eca(number, row, 9).cells), (number, f)
 
 
@@ -229,6 +249,20 @@ class TestFlipCell:
         grid = np.zeros((3, 3), dtype=int)
         flipped = flip_cell(grid, (1, 2))
         assert flipped[1, 2] == 1 and flipped.sum() == 1
+
+    def test_non_integer_index_rejected(self, table32):
+        # 1.5 was truncated to cell 1 by flip_cell and the trace, and hit a
+        # numpy IndexError in delta_measures and in a 2D tuple.
+        calls = (
+            lambda: flip_cell([0, 1, 0], 1.5),
+            lambda: flip_cell([0, 1, 0], np.float64(1.5)),
+            lambda: flip_cell(np.zeros((3, 3), dtype=int), (1.5, 2)),
+            lambda: delta_measures(30, [0, 1, 0, 1, 1], 1.5, 3, table32, 2),
+            lambda: perturbation_trace(30, 10, 3, 0, 1.5, table32, 2),
+        )
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=40), st.data())
     @settings(max_examples=60)

@@ -5,13 +5,13 @@ import pytest
 
 from cabdm import (
     MIXED_NEIGHBORHOODS,
+    EcaRule,
     collision_experiment,
     collision_initial_state,
     collision_lattice,
     evolve_eca,
     evolve_interacting,
     random_config,
-    rule_table,
     sample_interaction_rule,
 )
 from cabdm import ctm
@@ -28,7 +28,7 @@ class TestInteractionRule:
 
     def test_pure_positive_delegates_to_rule_a(self):
         interaction = sample_interaction_rule(30, 22, seed=0)
-        rule = rule_table(30)
+        rule = EcaRule(30)
         for nbhd in product((0, 1), repeat=3):
             if nbhd == (0, 0, 0):
                 continue
@@ -38,7 +38,7 @@ class TestInteractionRule:
 
     def test_pure_negative_delegates_to_relabeled_rule_b(self):
         interaction = sample_interaction_rule(30, 22, seed=0)
-        rule = rule_table(22)
+        rule = EcaRule(22)
         for nbhd in product((0, -1), repeat=3):
             if nbhd == (0, 0, 0):
                 continue
@@ -121,6 +121,29 @@ class TestInteractionTable:
             assert np.array_equal(stacked[:, i], alone), (interaction.rule_a.number, rule_b, interaction.seed)
 
 
+def reference_interacting(interaction, init, steps):
+    """Cell by cell from the rule's parts: a mixed neighbourhood takes its
+    sampled outcome, a {0, 1} one bit 4l+2c+r of rule_a's Wolfram number, a
+    {0, -1} one the negated bit -(4l+2c+r) of rule_b's.  The all-zero
+    neighbourhood is rule_a's bit 0, which both rules share when there is no
+    zero conflict."""
+    assert not interaction.zero_conflict
+    a, b = interaction.rule_a.number, interaction.rule_b.number
+    rows = [[int(v) for v in init]]
+    for _ in range(steps):
+        row, out = rows[-1], []
+        for i in range(len(row)):
+            hood = (row[i - 1], row[i], row[(i + 1) % len(row)])
+            if hood in interaction.mixed_outcomes:
+                out.append(interaction.mixed_outcomes[hood])
+            elif -1 not in hood:
+                out.append(a >> (4 * hood[0] + 2 * hood[1] + hood[2]) & 1)
+            else:
+                out.append(-(b >> (-4 * hood[0] - 2 * hood[1] - hood[2]) & 1))
+        rows.append(out)
+    return np.array(rows, dtype=np.int8)
+
+
 class TestEvolveInteracting:
     def test_binary_init_reduces_to_rule_a(self):
         interaction = sample_interaction_rule(30, 22, seed=4)
@@ -146,19 +169,19 @@ class TestEvolveInteracting:
         with pytest.raises(ValueError):
             evolve_interacting(interaction, np.array([0, 2, 0]), 3)
 
-    def test_verify_recomputes(self):
+    def test_matches_reference_stepper(self):
         interaction = sample_interaction_rule(110, 30, seed=1)
-        st = evolve_interacting(interaction, collision_initial_state(6, 12), 12)
-        assert st.verify()
+        init = collision_initial_state(6, 12)
+        st = evolve_interacting(interaction, init, 12)
+        assert np.array_equal(st.cells, reference_interacting(interaction, init, 12))
 
-    def test_verify_collision_run(self):
+    def test_collision_run_matches_reference_stepper(self):
         # The paper's lattice: rule 30 meets rule 22 across a 40-cell gap.
         interaction = sample_interaction_rule(30, 22, seed=7)
-        st = evolve_interacting(interaction, collision_initial_state(40, 100), 100)
-        assert st.verify()
+        init = collision_initial_state(40, 100)
+        st = evolve_interacting(interaction, init, 100)
+        assert np.array_equal(st.cells, reference_interacting(interaction, init, 100))
         assert (st.cells == 1).any() and (st.cells == -1).any()
-        st.cells[50, 100] = -1 if st.cells[50, 100] != -1 else 1
-        assert not st.verify()
 
 
 class TestLightCones:

@@ -11,8 +11,6 @@ from cabdm import (
     build_table,
     class_size,
     decode_machine,
-    encode_machine,
-    enumerate_machines,
     load_table,
     max_halting_steps,
     run_machine,
@@ -32,12 +30,14 @@ class TestEnumeration:
         assert class_size(3) == 7_529_536
 
     def test_enumerate_1_2_complete_and_ordered(self):
-        machines = list(enumerate_machines(1))
+        machines = [decode_machine(i, 1) for i in range(class_size(1))]
         assert len(machines) == 36
         assert [m.machine_index for m in machines] == list(range(36))
+        assert len({tuple(sorted(m.transitions.items())) for m in machines}) == 36
 
     def test_enumerate_2_2_count(self):
-        assert sum(1 for _ in enumerate_machines(2)) == 10_000
+        tables = {tuple(sorted(decode_machine(i, 2).transitions.items())) for i in range(class_size(2))}
+        assert len(tables) == 10_000
 
     def test_first_and_last_indices_decode(self):
         first = decode_machine(0, 2)
@@ -49,10 +49,21 @@ class TestEnumeration:
     @given(st.integers(1, 4), st.data())
     @settings(max_examples=80)
     def test_codec_round_trip(self, n, data):
+        # Entry (q, a) is digit e = 2*(q-1)+a of the index in base 4n+2: d < 4n
+        # writes d&1, moves L if d%4 < 2 else R and goes to state d//4 + 1;
+        # d >= 4n halts writing d-4n.
         index = data.draw(st.integers(0, class_size(n) - 1))
         machine = decode_machine(index, n)
-        assert len(machine.transitions) == 2 * n
-        assert encode_machine(machine) == index
+        assert machine.machine_index == index and len(machine.transitions) == 2 * n
+        base = 4 * n + 2
+        for q in range(1, n + 1):
+            for a in range(2):
+                d = index // base ** (2 * (q - 1) + a) % base
+                t = machine.transitions[(q, a)]
+                if d >= 4 * n:
+                    assert t.halts and (t.write, t.move, t.next_state) == (d - 4 * n, None, None)
+                else:
+                    assert (t.write, t.move, t.next_state) == (d & 1, "L" if d % 4 < 2 else "R", d // 4 + 1)
 
 
 class TestRunMachine:
@@ -81,8 +92,8 @@ class TestRunMachine:
         # symmetrized, must reproduce the vectorized table exactly.
         raw = Counter()
         halting = 0
-        for machine in enumerate_machines(2):
-            outcome = run_machine(machine, 107)
+        for index in range(class_size(2)):
+            outcome = run_machine(decode_machine(index, 2), 107)
             if outcome.halted:
                 raw[outcome.output] += 1
                 halting += 1
