@@ -22,11 +22,18 @@ _FROM_TEXT = bytes.maketrans(b"012", b"\x00\x01\xff")
 
 def _cells(values, alphabet, ndim=None) -> np.ndarray:
     """``values`` as an int8 cell array, checked against ``alphabet`` before
-    the cast, so that 256 or 0.5 is rejected instead of read as a 0."""
+    the cast, so that 256 or 0.5 is rejected instead of read as a 0.
+
+    Both alphabets, (0, 1) and (-1, 0, 1), are runs of consecutive integers,
+    so integer and bool cells need only their minimum and maximum checked."""
     raw = np.asarray(values)
     if ndim is not None and raw.ndim != ndim:
         raise ValueError(f"expected a {ndim}-dimensional configuration, got shape {raw.shape}")
-    if raw.size and not np.isin(raw, alphabet).all():
+    if raw.size and not (
+        alphabet[0] <= raw.min() and raw.max() <= alphabet[-1]
+        if raw.dtype.kind in "biu"
+        else np.isin(raw, alphabet).all()
+    ):
         raise ValueError(f"cells must be over {{{', '.join(map(str, alphabet))}}}")
     return raw.astype(np.int8, copy=False)
 
@@ -135,12 +142,9 @@ def random_config(seed: int, width: int, density: float, label: str = "random-co
         raise ValueError("width must be >= 1")
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
-    stream = Stream(label, seed)
-    return np.fromiter(
-        (1 if stream.next_float() < density else 0 for _ in range(width)),
-        dtype=np.int8,
-        count=width,
-    )
+    words = np.array(Stream(label, seed).next_words(width), dtype=np.uint64)
+    # Stream.next_float's top 53 bits, exact in float64, so the cells are the same.
+    return ((words >> np.uint64(11)) * 2.0**-53 < density).astype(np.int8)
 
 
 def random_grid(seed: int, width: int, height: int, density: float, label: str = "random-grid") -> np.ndarray:

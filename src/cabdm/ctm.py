@@ -27,15 +27,33 @@ halting count H relative to the number of halting machines.
 
 The table assigns each output string s the value -log2(count(s) / H),
 a frequency-of-production complexity estimate in bits.
+
+``build_table`` steps only machines that might still halt, as
+Soler-Toscano, Zenil, Delahaye & Gauvrit (PLoS ONE, 2014) discard machines
+that cannot.  Both drop rules are exact: a dropped machine provably never
+halts, so it would add no output, and it still counts in ``total``.
+
+* Before step 1: no state reachable from state 1 through non-halting
+  entries (reading either symbol) has a halting entry.  The machine only
+  ever enters reachable states, so it never meets a halting entry.
+* At the step where the head moves past the visited segment into a state
+  q whose blank-reading entry (q, 0) moves further out, the same way, into
+  a state with the same property (a greatest fixpoint over the table).
+  Every cell beyond the segment is still blank, so from there on the
+  machine reads only blanks, keeps moving out and never halts.
+
+``run_machine`` applies neither rule: it is the reference the fast path is
+tested against.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from importlib import resources
 from typing import NamedTuple
 
@@ -43,13 +61,14 @@ import numpy as np
 
 from .ca import _TO_TEXT
 from .parallel import _pmap
-from .rng import Stream
+from .rng import _MASK64, Stream
 
 DEFAULT_CUTOFF = 107  # sound for n <= 4: no (4,2) machine halts later
 # Bytes one chunk's tapes, a sample's int64 indices, or one batch of
 # spacetimes evolved together may take: 2^18 tapes at the default cutoff.
 _TAPE_BYTES = (1 << 18) * (2 * DEFAULT_CUTOFF + 1)
 ENV_TABLE_DIR = "CABDM_TABLE_DIR"
+_SAMPLE_BLOCK = 4096  # words drawn per Stream.next_words call of a sample
 
 _COMPLEMENT = str.maketrans("01", "10")
 
@@ -142,58 +161,109 @@ def run_machine(machine: TuringMachine, cutoff: int) -> RunOutcome:
     return RunOutcome(halted=False, steps_used=cutoff, output=None)
 
 
+def _never_halts(digits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two drop rules of ``_simulate_array``, read off the transition
+    tables alone (one row of 2n digits per machine).
+
+    Returns (``unreachable``: no state reachable from state 1 has a halting
+    entry, per machine; ``escapes``: per entry, taking it onto a cell past
+    the visited segment starts a run over blank cells that never ends).
+    Sets of states are uint8 masks, bit q-1 for state q, so n <= 8.
+    """
+    digits = np.ascontiguousarray(digits.T)  # row e = 2*(q-1) + a: entry (q, a) of every machine
+    halts = digits >= 4 * n
+    goes = np.where(halts, 0, np.left_shift(1, digits // 4)).astype(np.uint8)  # its next state
+    right = ~halts & (digits % 4 >= 2)
+    own = np.left_shift(1, np.arange(2 * n) // 2).astype(np.uint8)[:, None]  # its own state
+
+    def union(masks):  # per machine, the union of the rows' masks
+        return reduce(np.bitwise_or, masks)
+
+    reach = np.ones(digits.shape[1], dtype=np.uint8)  # state 1
+    for _ in range(n - 1):
+        reach |= union(goes * (reach & own != 0))
+    unreachable = reach & union(halts * own) == 0
+
+    # Per side (right, then left), the greatest fixpoint: the states whose
+    # blank-reading entry moves that way into a state of the set.
+    sides = []
+    for outward in (right[0::2], ~halts[0::2] & ~right[0::2]):
+        mask = union(outward * own[0::2])
+        for _ in range(n):
+            mask = union((outward & (goes[0::2] & mask != 0)) * own[0::2])
+        sides.append(mask)
+    escapes = goes & np.where(right, *sides) != 0
+    return unreachable, escapes.T
+
+
 def _simulate_array(n: int, cutoff: int, indices) -> tuple[Counter, int]:
     """Run the machines with the given indices (a range or an array) in
     vectorized lockstep.
 
     Returns (output counts before complement-symmetrization, maximum steps
-    among halters).
+    among halters).  Machines that provably never halt are dropped, which
+    changes neither result (see ``_never_halts``):
+
+    * before step 1, every machine none of whose states reachable from
+      state 1 has a halting entry: the machine only ever visits those states;
+    * at the step where a machine moves past its visited segment [mn, mx]
+      into a state that, reading a blank, keeps moving outward into a state
+      that does the same: every cell beyond the segment is blank, so it
+      reads blanks and never halts.
+
+    The tape is allocated once for the machines that pass the first rule;
+    each step compacts only the per-machine vectors, and a halter's output
+    is read off its tape row at the step where it halts.
     """
     base = 4 * n + 2
-    count = len(indices)
-    digits = np.empty((count, 2 * n), dtype=np.int8)
     if isinstance(indices, range):  # np.array would convert it element by element
         indices = np.arange(indices.start, indices.stop, dtype=np.int64)
     x = np.array(indices, dtype=np.int64)
+    digits = np.empty((len(x), 2 * n), dtype=np.int8)
     for e in range(2 * n):
         digits[:, e] = x % base
         x //= base
+    unreachable, escapes = _never_halts(digits, n)
+    digits, escapes = digits[~unreachable], escapes[~unreachable]
+    count = len(digits)
 
-    radius = cutoff
-    tape = np.zeros((count, 2 * radius + 1), dtype=np.int8)
-    head = np.full(count, radius, dtype=np.int32)
-    state = np.ones(count, dtype=np.int8)
-    mn = np.full(count, radius, dtype=np.int32)
-    mx = np.full(count, radius, dtype=np.int32)
-    halted = np.zeros(count, dtype=bool)
-    max_steps = 0
-    alive = np.arange(count, dtype=np.int64)
-
-    for step in range(1, cutoff + 1):
-        if alive.size == 0:
-            break
-        pos = head[alive]
-        entry = (state[alive] - 1) * 2 + tape[alive, pos]
-        dig = digits[alive, entry]
-        is_halt = dig >= 4 * n
-        tape[alive, pos] = np.where(is_halt, dig - 4 * n, dig & 1).astype(np.int8)
-        if is_halt.any():
-            halted[alive[is_halt]] = True
-            max_steps = step
-        keep = ~is_halt
-        alive = alive[keep]
-        if alive.size:
-            dig = dig[keep]
-            moved = head[alive] + np.where(dig % 4 < 2, -1, 1).astype(np.int32)
-            head[alive] = moved
-            mn[alive] = np.minimum(mn[alive], moved)
-            mx[alive] = np.maximum(mx[alive], moved)
-            state[alive] = (dig // 4 + 1).astype(np.int8)
+    # Flat tables: machine i's entry (q, a) sits at 2n*i + 2*(q-1) + a, and
+    # its tape cell h at width*i + h.
+    width = 2 * cutoff + 1
+    rows = np.arange(count, dtype=np.int64)
+    dig = digits.ravel()
+    esc = escapes.ravel()
+    move = np.where(digits % 4 < 2, -1, 1).astype(np.int8).ravel()
+    nxt = (2 * n * rows[:, None] + 2 * (digits // 4)).ravel()
+    tape = np.zeros(count * width, dtype=np.int8)
+    cells = memoryview(tape)
+    entry = 2 * n * rows  # the current state's entry for symbol 0
+    pos = width * rows + cutoff
+    mn = pos.copy()
+    mx = pos.copy()
 
     counts: Counter = Counter()
-    for i in np.flatnonzero(halted):
-        counts[tape[i, mn[i] : mx[i] + 1].tobytes().translate(_TO_TEXT).decode()] += 1
-    return counts, max_steps
+    max_steps = 0
+    for step in range(1, cutoff + 1):
+        if not pos.size:
+            break
+        e = entry + tape[pos]
+        d = dig[e]
+        tape[pos] = d & 1  # a halting digit 4n + w writes w, since 4n is even
+        halt = d >= 4 * n
+        if halt.any():
+            max_steps = step
+            counts.update(cells[lo:hi].tobytes() for lo, hi in zip(mn[halt].tolist(), (mx[halt] + 1).tolist()))
+        pos = pos + move[e]
+        out = (pos > mx) | (pos < mn)
+        np.maximum(mx, pos, out=mx)
+        np.minimum(mn, pos, out=mn)
+        entry = nxt[e]
+        drop = halt | (out & esc[e])
+        if drop.any():
+            keep = ~drop
+            pos, entry, mn, mx = pos[keep], entry[keep], mn[keep], mx[keep]
+    return Counter({raw.translate(_TO_TEXT).decode(): c for raw, c in counts.items()}), max_steps
 
 
 def max_halting_steps(n: int, cutoff: int = DEFAULT_CUTOFF) -> int:
@@ -253,14 +323,27 @@ class CtmTable:
 
 
 def _stratified_sample(total: int, size: int, seed: int) -> np.ndarray:
-    """One uniform index per stratum of an even partition of the class."""
+    """One uniform index per stratum of an even partition of the class: the
+    same draws, in order, as ``lo + stream.next_below(width)`` per stratum."""
     stream = Stream("ctm-sample", seed)
-
-    def pick(i):
-        lo, hi = i * total // size, (i + 1) * total // size
-        return lo + stream.next_below(hi - lo)
-
-    return np.fromiter(map(pick, range(size)), dtype=np.int64, count=size)
+    i = np.arange(size + 1, dtype=np.int64)
+    bounds = i * (total // size) + i * (total % size) // size  # i * total // size without overflow
+    lo, width = bounds[:-1], np.diff(bounds).astype(np.uint64)
+    # next_below's rejection rule: a word above the last whole multiple of
+    # the width is drawn again, so stratum j takes the first word after
+    # stratum j - 1's that is at most its limit.
+    limit = np.uint64(_MASK64) - (np.uint64(_MASK64) % width + np.uint64(1)) % width
+    picks = np.empty(size, dtype=np.int64)
+    done, words = 0, np.empty(0, dtype=np.uint64)
+    while done < size:
+        if not words.size:  # a block at a time bounds the Python ints alive at once
+            words = np.array(stream.next_words(min(size - done, _SAMPLE_BLOCK)), dtype=np.uint64)
+        rejected = np.flatnonzero(words > limit[done : done + words.size])
+        ok = rejected[0] if rejected.size else words.size
+        picks[done : done + ok] = lo[done : done + ok] + (words[:ok] % width[done : done + ok]).astype(np.int64)
+        done += ok
+        words = words[ok + 1 :]
+    return picks
 
 
 def _budget_chunks(items, item_bytes: int) -> list:
@@ -334,7 +417,12 @@ def build_table(
     halting = sum(counts.values())
     if halting == 0:
         raise RuntimeError(f"no machine of the ({n},2) class halted within {cutoff} steps")
-    entries = {s: (c, -math.log2(c / halting)) for s, c in counts.items()}
+    # The value depends on the count alone, so equal counts (a string and its
+    # complement at least) share one (count, value) pair, and interned output
+    # strings are shared across tables: a caller holding many tables holds
+    # each string and pair once.
+    pairs = {c: (c, -math.log2(c / halting)) for c in set(counts.values())}
+    entries = {sys.intern(s): pairs[c] for s, c in counts.items()}
     return CtmTable(
         n=n,
         k=2,

@@ -29,10 +29,6 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 class Stream:
     """xoshiro256** generator bound to an (experiment label, seed) pair.
 
@@ -51,17 +47,26 @@ class Stream:
             state.append(word)
         self._s = state
 
+    def next_words(self, k: int) -> list[int]:
+        """The next ``k`` 64-bit outputs, in order."""
+        s0, s1, s2, s3 = self._s
+        words = []
+        append = words.append
+        for _ in range(k):
+            x = s1 * 5 & _MASK64
+            append((x << 7 | x >> 57) * 9 & _MASK64)  # rotl(s1 * 5, 7) * 9
+            t = s1 << 17 & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = (s3 << 45 | s3 >> 19) & _MASK64
+        self._s = [s0, s1, s2, s3]
+        return words
+
     def next_u64(self) -> int:
-        s = self._s
-        result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s[1] << 17) & _MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
-        return result
+        return self.next_words(1)[0]
 
     def next_float(self) -> float:
         """Uniform double in [0, 1) from the top 53 bits."""

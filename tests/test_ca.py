@@ -23,7 +23,8 @@ from cabdm import (
     serialize_cells,
     temporal_cell_entropy,
 )
-from cabdm.ca import _evolve
+from cabdm import Stream
+from cabdm.ca import _cells, _evolve
 
 
 def reference_eca(number, init, steps):
@@ -226,6 +227,13 @@ class TestRandomConfig:
         with pytest.raises(ValueError):
             random_config(0, 10, 1.5)
 
+    @pytest.mark.parametrize("density", [0.0, 0.3, 0.5, 0.999, 1.0])
+    def test_cells_follow_next_float(self, density):
+        # Cell i is 1 exactly when the stream's i-th float is below the density.
+        stream = Stream("random-config", 11)
+        expected = [1 if stream.next_float() < density else 0 for _ in range(300)]
+        assert random_config(11, 300, density).tolist() == expected
+
     def test_grid_shape_and_reproducibility(self):
         grid = random_grid(3, 10, 6, 0.5)
         assert grid.shape == (6, 10)
@@ -321,3 +329,34 @@ class TestCellAlphabet:
     @pytest.mark.parametrize("consumer", sorted(CELL_CONSUMERS))
     def test_valid_cells_accepted(self, consumer, table32):
         CELL_CONSUMERS[consumer](1, table32)
+
+    @pytest.mark.parametrize(
+        "values,alphabet",
+        [
+            (np.array([0, 256], dtype=np.int16), (0, 1)),  # 256 would wrap to 0
+            (np.array([0, -1], dtype=np.int8), (0, 1)),
+            (np.array([1, 255], dtype=np.uint8), (-1, 0, 1)),  # 255 would wrap to -1
+            (np.array([-1, 2]), (-1, 0, 1)),
+            (np.array([0.0, 0.5]), (0, 1)),  # 0.5 would truncate to 0
+            (np.array([0.5]), (-1, 0, 1)),
+        ],
+    )
+    def test_range_check_per_dtype_rejects(self, values, alphabet):
+        with pytest.raises(ValueError):
+            _cells(values, alphabet)
+
+    @pytest.mark.parametrize(
+        "values,alphabet,cells",
+        [
+            (np.array([0.0, 1.0]), (0, 1), [0, 1]),
+            (np.array([-1.0, 0.0, 1.0]), (-1, 0, 1), [-1, 0, 1]),
+            (np.array([True, False]), (0, 1), [1, 0]),
+            (np.array([True, False]), (-1, 0, 1), [1, 0]),
+            (np.array([1, 0], dtype=np.uint64), (0, 1), [1, 0]),
+            (np.array([-1, 1], dtype=np.int64), (-1, 0, 1), [-1, 1]),
+        ],
+    )
+    def test_range_check_per_dtype_accepts(self, values, alphabet, cells):
+        out = _cells(values, alphabet)
+        assert out.dtype == np.int8 and out.tolist() == cells
+

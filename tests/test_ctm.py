@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from cabdm import (
     CorruptTableError,
     CoverageError,
+    Stream,
     build_table,
     class_size,
     decode_machine,
@@ -106,6 +108,11 @@ class TestRunMachine:
 
     def test_max_halting_steps_2_2(self):
         assert max_halting_steps(2) == 6
+
+    def test_max_halting_steps_3_2(self):
+        # The (3,2) busy-beaver step count (Lin & Rado, 1965): no long-running
+        # halter of the 7.5M machines is dropped as a non-halter.
+        assert max_halting_steps(3) == 21
 
 
 class TestTableInvariants:
@@ -355,3 +362,128 @@ class TestBuildTable:
     def test_guard_lifts_with_sample_flag(self):
         table = build_table(5, sample=50, cutoff=20)
         assert table.sampled and table.total == 50
+
+
+class TestStratifiedSample:
+    @staticmethod
+    def reference(total, size, seed):
+        """One ``next_below`` call per stratum [i*total//size, (i+1)*total//size), in order."""
+        stream = Stream("ctm-sample", seed)
+        return [i * total // size + stream.next_below((i + 1) * total // size - i * total // size) for i in range(size)]
+
+    @pytest.mark.parametrize(
+        "total,size",
+        [(36, 36), (10, 10), (36, 5), (10_000, 7), (10_000, 3_333), (class_size(4), 16_384), (class_size(6), 1_000)],
+    )
+    def test_one_next_below_per_stratum(self, total, size):
+        # Strata of width 1 (size == total) and of two uneven widths.
+        for seed in (0, 1, 9):
+            picks = ctm._stratified_sample(total, size, seed)
+            assert picks.dtype == np.int64 and picks.tolist() == self.reference(total, size, seed)
+
+    def test_rejected_draws_are_drawn_again(self):
+        # A width of 2^62 + 1 rejects about a quarter of all words.
+        total, limit = 2**62 + 1, (1 << 64) - 1 - (1 << 64) % (2**62 + 1)
+        rejected = 0
+        for seed in range(20):
+            for size in (1, 2, 3):
+                assert ctm._stratified_sample(total, size, seed).tolist() == self.reference(total, size, seed)
+            rejected += Stream("ctm-sample", seed).next_u64() > limit
+        assert rejected >= 1
+
+
+def digit(write, move, state):
+    """The digit of a non-halting entry: write, move "L"/"R", next state."""
+    return 4 * (state - 1) + 2 * (move == "R") + write
+
+
+def machine_index(n, entries):
+    """Index of the (n,2) machine whose entry (q, a) holds digit entries[(q, a)]."""
+    return sum(d * (4 * n + 2) ** (2 * (q - 1) + a) for (q, a), d in entries.items())
+
+
+def digit_rows(indices, n):
+    """Each machine's 2n digits: digit e of its index in base 4n+2."""
+    base = 4 * n + 2
+    return np.array([[i // base**e % base for e in range(2 * n)] for i in indices], dtype=np.int8)
+
+
+def first_drop(machine, unreachable, escapes, cutoff):
+    """The step at which a drop rule gives up on ``machine`` (0: before step 1),
+    or None if it halts or reaches the cutoff first; stepped cell by cell."""
+    if unreachable:
+        return 0
+    tape, head, state, lo, hi = {}, 0, 1, 0, 0
+    for step in range(1, cutoff + 1):
+        symbol = tape.get(head, 0)
+        t = machine.transitions[(state, symbol)]
+        if t.halts:
+            return None
+        tape[head] = t.write
+        head += -1 if t.move == "L" else 1
+        if not lo <= head <= hi and escapes[2 * (state - 1) + symbol]:
+            return step
+        lo, hi, state = min(lo, head), max(hi, head), t.next_state
+    return None
+
+
+class TestDropRules:
+    """The simulator drops machines that provably never halt; run_machine,
+    which drops none, is the oracle that they never do."""
+
+    @pytest.mark.parametrize("n,sample", [(2, None), (3, 20_000)])
+    def test_dropped_machines_never_halt(self, n, sample):
+        # Every (2,2) machine; a stratified sample of the (3,2) class.
+        indices = range(class_size(n)) if sample is None else TestStratifiedSample.reference(class_size(n), sample, 0)
+        unreachable, escapes = ctm._never_halts(digit_rows(indices, n), n)
+        dropped = Counter()
+        for index, skip, esc in zip(indices, unreachable, escapes):
+            machine = decode_machine(index, n)
+            step = first_drop(machine, skip, esc, 107)
+            if step is not None:
+                dropped[min(step, 1)] += 1
+                assert not run_machine(machine, 107).halted, (index, step)
+        # Both rules drop a good share of the machines.
+        assert dropped[0] > len(indices) // 10 and dropped[1] > len(indices) // 10
+
+    def test_sampled_4_2_build_matches_reference_census(self):
+        indices = TestStratifiedSample.reference(class_size(4), 2048, 5)
+        counts, halting = Counter(), 0
+        for index in indices:
+            outcome = run_machine(decode_machine(index, 4), 107)
+            if outcome.halted:
+                halting += 1
+                counts[outcome.output] += 1
+                counts[outcome.output.translate(COMPLEMENT)] += 1
+        table = build_table(4, sample=2048, sample_seed=5)
+        assert (table.total, table.halting) == (2048, 2 * halting)
+        assert {s: c for s, (c, _) in table.entries.items()} == dict(counts)
+
+    def test_unreachable_halting_state_dropped_before_step_1(self):
+        # State 1 only ever goes back to state 1; only state 2 halts.
+        index = machine_index(2, {(1, 0): digit(1, "L", 1), (1, 1): digit(0, "R", 1), (2, 0): 9, (2, 1): 8})
+        unreachable, _ = ctm._never_halts(digit_rows([index], 2), 2)
+        assert unreachable.tolist() == [True]
+        assert not run_machine(decode_machine(index, 2), 107).halted
+        assert ctm._simulate_array(2, 107, [index]) == (Counter(), 0)
+
+    def test_right_runner_dropped_at_step_1(self):
+        # (1,0) writes 1 and moves right in state 1: on blank cells forever.
+        # Its halting entry (1,1) keeps it past the table-only rule.
+        index = machine_index(2, {(1, 0): digit(1, "R", 1), (1, 1): 9, (2, 0): 8, (2, 1): 8})
+        machine = decode_machine(index, 2)
+        unreachable, escapes = ctm._never_halts(digit_rows([index], 2), 2)
+        assert unreachable.tolist() == [False] and escapes[0].tolist() == [True, False, False, False]
+        assert first_drop(machine, unreachable[0], escapes[0], 107) == 1
+        assert not run_machine(machine, 107).halted
+
+    def test_machine_that_leaves_and_returns_to_halt_is_kept(self):
+        # Step 1 moves right onto a blank in state 2, step 2 comes back left,
+        # step 3 reads the 1 written at step 1 and halts.
+        index = machine_index(2, {(1, 0): digit(1, "R", 2), (1, 1): 9, (2, 0): digit(1, "L", 1), (2, 1): 8})
+        machine = decode_machine(index, 2)
+        unreachable, escapes = ctm._never_halts(digit_rows([index], 2), 2)
+        assert first_drop(machine, unreachable[0], escapes[0], 107) is None
+        assert run_machine(machine, 107) == ctm.RunOutcome(halted=True, steps_used=3, output="11")
+        assert ctm._simulate_array(2, 107, [index]) == (Counter({"11": 1}), 3)
+

@@ -38,3 +38,30 @@ def test_next_below_bounds():
     for bad in (0, -1, (1 << 64) + 1):
         with pytest.raises(ValueError):
             s.next_below(bad)
+
+
+# The first words of two streams, as recorded before the draw loop was
+# written out in local variables: the stream must not change.
+KNOWN_WORDS = {
+    ("exp", 7): [
+        0x24450E645C505FB9, 0xC05B389D9A338E96, 0x2AB2751839AF4138, 0x0370CDCFE8CA05C7,
+        0x2CB0E175FDF62EB3, 0x1D3E562E57874B8A, 0xE81F0800FFE7D81F, 0x2CF8AC8F09487C04,
+    ],
+    ("ctm-sample", 0): [
+        0x6969609A9C165323, 0xFBDC3800884AC54C, 0x9C1E559089690479, 0xA8A2E00350DC104C,
+        0xD6400E2A1E190C04, 0xAF808B46DA9FB75B, 0xC5DAB0F05FD1796A, 0x15046C1865FE7754,
+    ],
+}
+
+
+@pytest.mark.parametrize("key", sorted(KNOWN_WORDS))
+def test_known_answers(key):
+    s = Stream(*key)
+    assert [s.next_u64() for _ in range(8)] == KNOWN_WORDS[key]
+    assert Stream(*key).next_words(8) == KNOWN_WORDS[key]
+
+
+def test_words_in_bulk_continue_the_stream():
+    a, b = Stream("bulk", 3), Stream("bulk", 3)
+    assert a.next_words(5) + a.next_words(0) + a.next_words(7) == [b.next_u64() for _ in range(12)]
+    assert a.next_u64() == b.next_u64()
