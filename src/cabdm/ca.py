@@ -113,11 +113,12 @@ class _GolRule:
     """Conway's B3/S23 on the Moore neighborhood of a toroidal grid."""
 
     def step(self, grid: np.ndarray) -> np.ndarray:
-        # 3x3 box sum (the cell plus its 8 neighbours), rows then columns:
+        # 3x3 box sum (the cell plus its 8 neighbours) over the last two
+        # axes, so a grid or an (S, H, W) stack of grids, rows then columns:
         # box 3 is a birth or a 2-neighbour survival, box 4 with a live
         # centre a 3-neighbour survival.
-        rows = grid + np.roll(grid, 1, axis=0) + np.roll(grid, -1, axis=0)
-        box = rows + np.roll(rows, 1, axis=1) + np.roll(rows, -1, axis=1)
+        rows = grid + np.roll(grid, 1, axis=-2) + np.roll(grid, -1, axis=-2)
+        box = rows + np.roll(rows, 1, axis=-1) + np.roll(rows, -1, axis=-1)
         return ((box == 3) | ((grid == 1) & (box == 4))).astype(np.int8)
 
 

@@ -416,7 +416,7 @@ def build_table(
         counts[s.translate(_COMPLEMENT)] += c
     halting = sum(counts.values())
     if halting == 0:
-        raise RuntimeError(f"no machine of the ({n},2) class halted within {cutoff} steps")
+        raise ValueError(f"no machine of the ({n},2) class halted within {cutoff} steps")
     # The value depends on the count alone, so equal counts (a string and its
     # complement at least) share one (count, value) pair, and interned output
     # strings are shared across tables: a caller holding many tables holds
@@ -477,6 +477,8 @@ def load_table(path) -> CtmTable:
         raise CorruptTableError(f"{path}: k={k}, but machines have 2 symbols")
     if not 1 <= n <= 6:  # 6: the largest class with int64 indices; checked before class_size grows huge
         raise CorruptTableError(f"{path}: n={n} outside 1..6")
+    if cutoff < 1:
+        raise CorruptTableError(f"{path}: cutoff={cutoff} below 1")
     if not 1 <= total <= class_size(n) or (flag == "false" and total != class_size(n)):
         raise CorruptTableError(f"{path}: total={total} does not fit the ({n},2) class of {class_size(n)} machines")
     if not 1 <= halting <= 2 * total:  # each machine adds its output and the complement

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 
 def _pmap(fn, jobs, workers: int):
@@ -21,5 +20,6 @@ def _pmap(fn, jobs, workers: int):
     if workers <= 1:
         yield from map(fn, jobs)
         return
+    from concurrent.futures import ProcessPoolExecutor  # here, so a serial run never imports the pool
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, jobs)

@@ -1,9 +1,10 @@
 """Single-cell perturbation experiments on ECA and Game of Life evolutions.
 
-A perturbation flips one cell, both branches are evolved identically, and
-the change is scored three ways on the full spacetimes (initial row
-included): block-decomposition bits, LZW compressed bytes, and Shannon
-block entropy.  Reported deltas are always measure(perturbed) minus
+A perturbation flips one cell, both branches are evolved identically (by
+``_branches``, the one flip engine of the sweep, the trace and the Game of
+Life protocol), and the change is scored three ways on the full spacetimes
+(initial row included): block-decomposition bits, LZW compressed bytes, and
+Shannon block entropy.  Reported deltas are always measure(perturbed) minus
 measure(unperturbed).
 """
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import bdm, ctm
 from .baselines import compressed_size, partition_entropy, temporal_cell_entropy
-from .ca import _eca_rule, _evolve, evolve_eca, evolve_gol, flip_cell, random_config, random_grid
+from .ca import GOL_RULE, Spacetime, _eca_rule, _evolve, evolve_eca, evolve_gol, flip_cell, random_config, random_grid
 from .ctm import CtmTable
 from .parallel import _pmap
 
@@ -69,27 +70,22 @@ def delta_measures(
     return _flip_deltas(rule, init, (flip,), steps, table, b, seed)[0]
 
 
-def _flip_deltas(rule, init, flips, steps, table, b, seed) -> list[DeltaReport]:
-    """Score each flip position against one unperturbed run of ``init``.
+def _branches(rule, init, flips, steps):
+    """Yield the spacetime of ``init`` under an ``EcaRule`` or ``GOL_RULE`` (from the public
+    evolve, which checks ``init``), then one per flip of its first configuration: each copy
+    made by ``flip_cell`` (None: no flip), all evolved together in ``ctm._budget_chunks`` runs."""
+    base = (evolve_gol(init, steps) if rule is GOL_RULE else evolve_eca(rule, init, steps)).cells
+    yield base
+    for part in ctm._budget_chunks(flips, base.size):
+        stack = np.stack([base[0] if flip is None else flip_cell(base[0], flip) for flip in part])
+        yield from _evolve(rule, stack, steps).cells.swapaxes(0, 1)
 
-    The flipped rows evolve together, in stacks of at most ``ctm._TAPE_BYTES``
-    bytes; a flip of None leaves its row unflipped.
-    """
+
+def _flip_deltas(rule, init, flips, steps, table, b, seed) -> list[DeltaReport]:
+    """Score each flip position against one unperturbed run of ``init``."""
     rule = _eca_rule(rule)
     flips = [None if flip is None else operator.index(flip) for flip in flips]
-    base = evolve_eca(rule, init, steps).cells
-    width = base.shape[1]
-    m0 = spacetime_measures(base, table, b)
-    measures = []
-    for part in ctm._budget_chunks(flips, (steps + 1) * width):
-        rows = np.tile(base[0], (len(part), 1))
-        for row, flip in zip(rows, part):
-            if flip is not None:
-                if not 0 <= flip < width:
-                    raise IndexError(f"flip position {flip!r} out of bounds for width {width}")
-                row[flip] ^= 1
-        cells = _evolve(rule, rows, steps).cells
-        measures += [spacetime_measures(cells[:, i], table, b) for i in range(len(rows))]
+    m0, *flipped = (spacetime_measures(cells, table, b) for cells in _branches(rule, init, flips, steps))
     return [
         DeltaReport(
             delta_bdm=m1[0] - m0[0],
@@ -98,10 +94,10 @@ def _flip_deltas(rule, init, flips, steps, table, b, seed) -> list[DeltaReport]:
             rule=rule.number,
             seed=seed,
             flip_pos=flip,
-            width=width,
+            width=len(init),
             steps=steps,
         )
-        for flip, m1 in zip(flips, measures)
+        for flip, m1 in zip(flips, flipped)
     ]
 
 
@@ -170,14 +166,14 @@ def perturbation_trace(
     0..t, showing how the perturbation's complexity footprint spreads.
     """
     init = random_config(seed, width, density, label=INIT_LABEL)
-    base = evolve_eca(rule, init, steps)
-    perturbed = evolve_eca(rule, flip_cell(init, flip), steps)
-    flat0, flat1 = bdm.flatten_binary(base.cells), bdm.flatten_binary(perturbed.cells)
-    trace = []
-    for t in range(steps + 1):
-        end = (t + 1) * width  # rows 0..t of the row-major string
-        trace.append((t, bdm.bdm_1d(flat1[:end], table, b).value - bdm.bdm_1d(flat0[:end], table, b).value))
-    return base, perturbed, trace
+    base, perturbed = _branches(_eca_rule(rule), init, (operator.index(flip),), steps)
+    # Each branch's BDM of rows 0..t of its row-major string, for every t.
+    v0, v1 = (
+        [bdm.bdm_1d(flat[: (t + 1) * width], table, b).value for t in range(steps + 1)]
+        for flat in map(bdm.flatten_binary, (base, perturbed))
+    )
+    trace = list(enumerate(x1 - x0 for x1, x0 in zip(v1, v0)))
+    return Spacetime(base), Spacetime(perturbed), trace
 
 
 @dataclass(frozen=True)
@@ -209,9 +205,15 @@ class GolReport:
     flip_pos: tuple[int, int]
 
 
-def _volume_bdm(stack: np.ndarray, table: CtmTable, d: int) -> float:
-    flat2d = stack.reshape(stack.shape[0] * stack.shape[1], stack.shape[2])
-    return bdm.bdm_2d(flat2d, table, d).value
+def _gol_measures(stack: np.ndarray, table: CtmTable, d: int) -> tuple:
+    """(volume BDM, final-grid BDM, final-grid LZW, volume LZW, temporal-entropy grid) of a branch."""
+    return (
+        bdm.bdm_2d(stack.reshape(-1, stack.shape[-1]), table, d).value,
+        bdm.bdm_2d(stack[-1], table, d).value,
+        compressed_size(stack[-1]),
+        compressed_size(stack),
+        temporal_cell_entropy(stack),
+    )
 
 
 def gol_perturbation(
@@ -234,18 +236,13 @@ def gol_perturbation(
     if pre_steps:
         grid = evolve_gol(grid, pre_steps).cells[-1]
     center = (grid_h // 2, grid_w // 2)
-    base_stack = evolve_gol(grid, post_steps).cells
-    pert_stack = evolve_gol(flip_cell(grid, center), post_steps).cells
-
-    ent0 = temporal_cell_entropy(base_stack)
-    ent1 = temporal_cell_entropy(pert_stack)
-    diff = ent1 - ent0
+    m0, m1 = (_gol_measures(stack, table, d) for stack in _branches(GOL_RULE, grid, (center,), post_steps))
+    volume, final, lzw_final, lzw_volume, diff = (x1 - x0 for x1, x0 in zip(m1, m0))
     return GolReport(
-        delta_bdm=_volume_bdm(pert_stack, table, d) - _volume_bdm(base_stack, table, d),
-        delta_bdm_final_grid=bdm.bdm_2d(pert_stack[-1], table, d).value
-        - bdm.bdm_2d(base_stack[-1], table, d).value,
-        delta_compressed_bytes=compressed_size(pert_stack[-1]) - compressed_size(base_stack[-1]),
-        delta_compressed_bytes_volume=compressed_size(pert_stack) - compressed_size(base_stack),
+        delta_bdm=volume,
+        delta_bdm_final_grid=final,
+        delta_compressed_bytes=lzw_final,
+        delta_compressed_bytes_volume=lzw_volume,
         delta_entropy=float(diff.sum()),
         entropy_diff_grid=diff,
         seed=seed,

@@ -24,7 +24,7 @@ from cabdm import (
     temporal_cell_entropy,
 )
 from cabdm import Stream
-from cabdm.ca import _cells, _evolve
+from cabdm.ca import GOL_RULE, _cells, _evolve
 
 
 def reference_eca(number, init, steps):
@@ -208,6 +208,19 @@ class TestGolReference:
         for t in range(8):
             grid = reference_gol_step(grid)
             assert np.array_equal(stack[t + 1], grid), f"step {t + 1}"
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 11), (11, 3), (3, 4), (5, 3), (9, 12)])
+    def test_stack_steps_each_grid_alone(self, shape):
+        # An (S, H, W) stack steps every grid on its own torus.
+        grids = np.stack([random_grid(sum(shape) + s, shape[1], shape[0], 0.5, label="gol-stack") for s in range(4)])
+        stepped = GOL_RULE.step(grids)
+        assert stepped.shape == grids.shape
+        for grid, one in zip(grids, stepped):
+            assert np.array_equal(one, GOL_RULE.step(grid))
+            assert np.array_equal(one, reference_gol_step(grid))
+        stacked = _evolve(GOL_RULE, grids, 6).cells
+        for s, grid in enumerate(grids):
+            assert np.array_equal(stacked[:, s], evolve_gol(grid, 6).cells), s
 
 
 class TestRandomConfig:

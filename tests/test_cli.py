@@ -105,6 +105,12 @@ class TestRun:
         table = load_table(out)
         assert table.total == 10_000
 
+    def test_build_without_a_halting_machine_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "t.txt"
+        assert run(["ctm-build", "--n", "4", "--sample", "1", "--cutoff", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("cabdm: error: no machine of the (4,2) class halted")
+        assert not out.exists()
+
     def test_runtime_error_exit_1(self, tmp_path, capsys):
         assert run(["bdm", "--input", str(tmp_path / "missing.txt")]) == 1
         assert "error" in capsys.readouterr().err

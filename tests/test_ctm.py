@@ -242,6 +242,11 @@ class TestSaveLoad:
         with pytest.raises(CorruptTableError, match=f"k={k}"):
             load_table(self._edited(table22, tmp_path, k=k))
 
+    @pytest.mark.parametrize("cutoff", [0, -5])
+    def test_cutoff_below_1_rejected(self, table22, tmp_path, cutoff):
+        with pytest.raises(CorruptTableError, match=f"cutoff={cutoff}"):
+            load_table(self._edited(table22, tmp_path, cutoff=cutoff))
+
     @pytest.mark.parametrize("n", [0, 7, 10**6])
     def test_state_count_outside_1_to_6_rejected(self, table22, tmp_path, n):
         with pytest.raises(CorruptTableError, match=f"n={n} outside"):
@@ -313,6 +318,27 @@ class TestBuildTable:
             build_table(4)
         with pytest.raises(ValueError):
             build_table(2, cutoff=0)
+
+    def test_long_run_guard_rejects_before_simulating(self, monkeypatch, tmp_path, capsys):
+        # Never lift the guard here: the full (4,2) enumeration takes hours.
+        def must_not_run(*args):
+            raise AssertionError("simulated or sampled machines before the long-run check")
+
+        monkeypatch.setattr(ctm, "_simulate_array", must_not_run)
+        monkeypatch.setattr(ctm, "_stratified_sample", must_not_run)
+        with pytest.raises(ValueError, match="allow_long_run"):
+            build_table(4)
+        out = tmp_path / "t.txt"
+        assert run(["ctm-build", "--n", "4", "--out", str(out)]) == 1
+        assert "allow_long_run" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_halting_machine_raises_value_error(self):
+        # The seed-0 sample of one (4,2) machine holds a machine that does not halt in one step.
+        (index,) = ctm._stratified_sample(class_size(4), 1, 0)
+        assert not run_machine(decode_machine(int(index), 4), 1).halted
+        with pytest.raises(ValueError, match="no machine of the"):
+            build_table(4, cutoff=1, sample=1)
 
     def test_cutoff_over_tape_limit_rejected_before_allocating(self, monkeypatch):
         def must_not_run(*args):

@@ -1,6 +1,6 @@
+import concurrent.futures
 import os
 
-from cabdm import parallel
 from cabdm.parallel import _pmap
 
 
@@ -26,7 +26,8 @@ def test_pool_capped_at_jobs_and_cpus(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
+    # _pmap imports the pool only when it needs one, so patch it where it is defined.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     expected = [x * x for x in range(10)]
     assert list(_pmap(_square, range(10), 5000)) == expected

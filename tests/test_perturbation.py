@@ -15,11 +15,13 @@ from cabdm import (
     perturbation_sweep,
     perturbation_trace,
     random_config,
+    random_grid,
     shannon_block_entropy,
     spacetime_measures,
+    temporal_cell_entropy,
 )
 from cabdm import ctm, perturbation
-from cabdm.perturbation import INIT_LABEL
+from cabdm.perturbation import GOL_INIT_LABEL, INIT_LABEL
 
 
 class TestDeltaMeasures:
@@ -75,7 +77,7 @@ class TestDeltaMeasures:
     def test_flip_out_of_bounds(self, table32):
         init = random_config(3, 20, 0.5)
         for flip in (-1, 20):
-            with pytest.raises(IndexError):
+            with pytest.raises(IndexError, match="out of bounds for shape"):
                 delta_measures(30, init, flip, 6, table32)
 
 
@@ -192,6 +194,27 @@ class TestTrace:
         )
         assert trace[-1][1] == pytest.approx(full, abs=1e-12)
 
+    def test_matches_two_separate_evolutions(self, table32):
+        rule, width, steps, seed, flip, b = 54, 30, 12, 4, 7, 6
+        base, perturbed, trace = perturbation_trace(rule, width, steps, seed, flip, table32, b)
+        init = random_config(seed, width, 0.5, label=INIT_LABEL)
+        want_base = evolve_eca(rule, init, steps).cells
+        want_perturbed = evolve_eca(rule, flip_cell(init, flip), steps).cells
+        assert np.array_equal(base.cells, want_base)
+        assert np.array_equal(perturbed.cells, want_perturbed)
+        flat0, flat1 = flatten_binary(want_base), flatten_binary(want_perturbed)
+        want = []
+        for t in range(steps + 1):
+            end = (t + 1) * width
+            want.append((t, bdm_1d(flat1[:end], table32, b).value - bdm_1d(flat0[:end], table32, b).value))
+        assert trace == want
+        assert any(delta != 0.0 for _, delta in trace)
+
+    def test_flip_out_of_bounds(self, table32):
+        for flip in (-1, 30):
+            with pytest.raises(IndexError, match="out of bounds for shape"):
+                perturbation_trace(54, 30, 4, 0, flip, table32)
+
 
 class TestGolPerturbation:
     def test_dead_grid_lone_cell_dies(self, table32):
@@ -222,6 +245,27 @@ class TestGolPerturbation:
             - bdm_2d(base.reshape(-1, 12), table32, 2).value
         )
         assert report.delta_bdm == pytest.approx(expected, abs=1e-9)
+
+    def test_matches_two_separate_evolutions(self, table32):
+        w, h, pre, post, seed, d = 10, 7, 6, 5, 2, 2  # not square, so the grid axes cannot be swapped
+        report = gol_perturbation(w, h, 0.5, pre, post, seed=seed, table=table32, d=d)
+        grid = evolve_gol(random_grid(seed, w, h, 0.5, label=GOL_INIT_LABEL), pre).cells[-1]
+        center = (h // 2, w // 2)
+        base = evolve_gol(grid, post).cells
+        pert = evolve_gol(flip_cell(grid, center), post).cells
+        entropy = temporal_cell_entropy(pert) - temporal_cell_entropy(base)
+
+        def volume_bdm(stack):  # the slices stacked into one tall grid
+            return bdm_2d(stack.reshape(-1, w), table32, d).value
+
+        assert report.flip_pos == center
+        assert report.delta_bdm == volume_bdm(pert) - volume_bdm(base)
+        assert report.delta_bdm_final_grid == bdm_2d(pert[-1], table32, d).value - bdm_2d(base[-1], table32, d).value
+        assert report.delta_compressed_bytes == compressed_size(pert[-1]) - compressed_size(base[-1])
+        assert report.delta_compressed_bytes_volume == compressed_size(pert) - compressed_size(base)
+        assert np.array_equal(report.entropy_diff_grid, entropy)
+        assert report.delta_entropy == float(entropy.sum())
+        assert report.delta_bdm != 0.0 and (entropy != 0).any()
 
     def test_deterministic(self, table32):
         a = gol_perturbation(10, 10, 0.4, 5, 4, seed=7, table=table32)
