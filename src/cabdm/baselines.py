@@ -6,6 +6,11 @@ phrases are appended forever (no reset), and codes are written with a
 variable width that starts at 9 bits and grows by one whenever the next
 code to assign reaches 2^width.  Because there is no reset, the width of
 the i-th emitted code depends only on i, which both sides exploit.
+
+So a size needs only the number of codes: ``compressed_size`` counts them
+through a phrase trie over the cells' three symbols and never builds the
+code list.  ``lzw_compress`` and ``lzw_decompress`` are the oracle it is
+tested against; they share only the bits-to-bytes rounding with it.
 """
 
 from __future__ import annotations
@@ -38,6 +43,12 @@ def _compressed_bits(n_codes: int) -> int:
     return bits
 
 
+def _sizes(n_codes: int) -> tuple[int, int]:
+    """(bits, bytes) of ``n_codes`` codes; the last byte is zero-padded."""
+    bits = _compressed_bits(n_codes)
+    return bits, -(-bits // 8)
+
+
 def lzw_compress(data: bytes) -> LzwResult:
     """Classic longest-match LZW over raw bytes."""
     data = bytes(data)
@@ -56,8 +67,8 @@ def lzw_compress(data: bytes) -> LzwResult:
             next_code += 1
             current = byte
         codes.append(current)
-    bits = _compressed_bits(len(codes))
-    return LzwResult(codes=tuple(codes), compressed_bits=bits, compressed_bytes=-(-bits // 8))
+    bits, n_bytes = _sizes(len(codes))
+    return LzwResult(codes=tuple(codes), compressed_bits=bits, compressed_bytes=n_bytes)
 
 
 def lzw_decompress(codes) -> bytes:
@@ -90,10 +101,40 @@ def serialize_cells(cells) -> bytes:
     return _cells(cells, (-1, 0, 1)).tobytes().translate(_TO_TEXT)
 
 
+def _code_count(symbols: bytes) -> int:
+    """``len(lzw_compress(symbols).codes)`` for bytes over 0, 1, 2, by a phrase
+    trie held as one child list per symbol: ``children[s][node]`` is the node
+    of phrase ``node`` + s, or 0 for none (nodes 0-2, the one-symbol phrases,
+    are no node's child).  Each miss emits a code and adds one node."""
+    if not symbols:
+        return 0
+    c0, c1, c2 = children = ([0, 0, 0], [0, 0, 0], [0, 0, 0])
+    node = symbols[0]
+    n_codes = 1  # the code of the last phrase, emitted at the end
+    for s in symbols[1:]:
+        child = children[s]
+        extended = child[node]
+        if extended:
+            node = extended
+            continue
+        child[node] = len(c0)
+        c0.append(0)
+        c1.append(0)
+        c2.append(0)
+        n_codes += 1
+        node = s
+    return n_codes
+
+
+# int8 cell bytes 0, 1, -1 as trie symbols 0, 1, 2: one-to-one, so every LZW phrase boundary
+# falls where it does in the "012" text of serialize_cells.
+_TO_SYMBOL = bytes.maketrans(b"\x00\x01\xff", b"\x00\x01\x02")
+
+
 def compressed_size(spacetime) -> int:
     """LZW compressed byte count of a spacetime's ASCII serialization."""
-    cells = getattr(spacetime, "cells", spacetime)
-    return lzw_compress(serialize_cells(cells)).compressed_bytes
+    cells = _cells(getattr(spacetime, "cells", spacetime), (-1, 0, 1))
+    return _sizes(_code_count(cells.tobytes().translate(_TO_SYMBOL)))[1]
 
 
 def shannon_block_entropy(s: str, b: int) -> float:

@@ -125,12 +125,17 @@ class _GolRule:
 GOL_RULE = _GolRule()
 
 
-def evolve_gol(init, steps: int) -> Spacetime:
-    """Evolve a toroidal Game of Life grid; returns a (steps+1, h, w) stack."""
+def _gol_grid(init) -> np.ndarray:
+    """``init`` as a Game of Life grid: 0/1 cells, at least 3x3."""
     grid = _cells(init, (0, 1), 2)
     if grid.shape[0] < 3 or grid.shape[1] < 3:
         raise ValueError(f"grid must be at least 3x3, got {grid.shape}")
-    return _evolve(GOL_RULE, grid, steps)
+    return grid
+
+
+def evolve_gol(init, steps: int) -> Spacetime:
+    """Evolve a toroidal Game of Life grid; returns a (steps+1, h, w) stack."""
+    return _evolve(GOL_RULE, _gol_grid(init), steps)
 
 
 def random_config(seed: int, width: int, density: float, label: str = "random-config") -> np.ndarray:

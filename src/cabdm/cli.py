@@ -19,10 +19,11 @@ import sys
 
 import numpy as np
 
-from . import bdm
+from . import bdm, ctm
 from .ca import _FROM_TEXT, _TO_TEXT, _cells, evolve_eca, flip_cell, random_config
 from .collision import (
-    CollisionReport, collision_experiment, evolve_interacting, sample_interaction_rule, collision_initial_state
+    CollisionReport, collision_experiment, collision_lattice, evolve_interacting, sample_interaction_rule,
+    collision_initial_state,
 )
 from .ctm import DEFAULT_CUTOFF, CoverageError, build_table, default_table, load_table, save_table
 from .perturbation import gol_perturbation, perturbation_sweep, perturbation_trace
@@ -108,6 +109,13 @@ def _check_out(path, is_file=False) -> None:
         raise NotADirectoryError(f"--out {path}: {existing} is not a directory")
 
 
+def _check_budget(cells: int) -> None:
+    """Fail before allocating, not with a MemoryError or after hours, when one
+    spacetime of ``cells`` one-byte cells is over ``ctm._TAPE_BYTES``."""
+    if cells > ctm._TAPE_BYTES:
+        raise ValueError(f"a spacetime of {cells} cells is over the {ctm._TAPE_BYTES}-cell limit")
+
+
 def _cmd_ctm_build(args) -> int:
     out = args.out or f"ctm_{args.n}_2.txt"
     _check_out(out, is_file=True)
@@ -163,6 +171,7 @@ def _cmd_bdm(args) -> int:
 
 
 def _cmd_eca(args) -> int:
+    _check_budget((args.steps + 1) * args.width)
     if args.init == "single":
         init = flip_cell(np.zeros(args.width, dtype=np.int8), args.width // 2)
     else:
@@ -204,6 +213,7 @@ def _run_experiment(args) -> int:
     is made only when the first file is written, so a run that fails before
     then (a bad ``--table`` or parameter) leaves none behind."""
     handler, keys = args.modes[getattr(args, "mode", None)]
+    _check_budget(args.spacetime_cells(args))
     _check_out(args.out)
     table = _resolve_table(args)
     if "flip" in keys and args.flip is None:  # trace's default, the center cell, is echoed as a number
@@ -339,10 +349,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     # Each mode's handler and echoed keys.  --table, --workers and --out are never echoed: they
     # choose how and where a run executes, and outputs stay byte-identical across them.
-    p.set_defaults(func=_run_experiment, modes={
-        "sweep": (_perturb_sweep, ("mode", "width", "steps", "seeds", "density", "b", "rules")),
-        "trace": (_perturb_trace, ("mode", "rule", "width", "steps", "seed", "flip", "density", "b")),
-    })
+    # spacetime_cells: the cells of the largest spacetime a run holds, checked by _check_budget.
+    p.set_defaults(
+        func=_run_experiment,
+        spacetime_cells=lambda a: (a.steps + 1) * a.width,
+        modes={
+            "sweep": (_perturb_sweep, ("mode", "width", "steps", "seeds", "density", "b", "rules")),
+            "trace": (_perturb_trace, ("mode", "rule", "width", "steps", "seed", "flip", "density", "b")),
+        },
+    )
 
     p = sub.add_parser("collide", help="sampled-interaction collision experiment")
     p.add_argument("--rule-a", type=int, default=30)
@@ -354,9 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, default=bdm.DEFAULT_BLOCK_LEN_1D)
     p.add_argument("--dump", type=int, default=0, help="also dump this many collision PGMs")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_run_experiment, modes={
-        None: (_collide, ("rule_a", "rule_b", "gap", "steps", "n_rules", "b")),
-    })
+    p.set_defaults(
+        func=_run_experiment,
+        spacetime_cells=lambda a: (a.steps + 1) * collision_lattice(a.gap, a.steps)[0],
+        modes={None: (_collide, ("rule_a", "rule_b", "gap", "steps", "n_rules", "b"))},
+    )
 
     p = sub.add_parser("gol", help="Game of Life central-cell perturbation")
     p.add_argument("--width", type=int, default=64)
@@ -368,9 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", default=None)
     p.add_argument("--d", type=int, default=bdm.DEFAULT_BLOCK_SIDE_2D)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_run_experiment, modes={
-        None: (_gol, ("width", "height", "density", "pre_steps", "post_steps", "seeds", "d")),
-    })
+    p.set_defaults(
+        func=_run_experiment,
+        spacetime_cells=lambda a: (a.post_steps + 1) * a.height * a.width,
+        modes={None: (_gol, ("width", "height", "density", "pre_steps", "post_steps", "seeds", "d"))},
+    )
 
     return parser
 

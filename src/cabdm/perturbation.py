@@ -18,7 +18,9 @@ import numpy as np
 
 from . import bdm, ctm
 from .baselines import compressed_size, partition_entropy, temporal_cell_entropy
-from .ca import GOL_RULE, Spacetime, _eca_rule, _evolve, evolve_eca, evolve_gol, flip_cell, random_config, random_grid
+from .ca import (
+    GOL_RULE, Spacetime, _eca_rule, _evolve, _gol_grid, evolve_eca, evolve_gol, flip_cell, random_config, random_grid
+)
 from .ctm import CtmTable
 from .parallel import _pmap
 
@@ -232,9 +234,9 @@ def gol_perturbation(
         raise ValueError("pre_steps must be >= 0")
     if post_steps < 1:
         raise ValueError("post_steps must be >= 1")
-    grid = random_grid(seed, grid_w, grid_h, density, label=GOL_INIT_LABEL)
-    if pre_steps:
-        grid = evolve_gol(grid, pre_steps).cells[-1]
+    grid = _gol_grid(random_grid(seed, grid_w, grid_h, density, label=GOL_INIT_LABEL))
+    for _ in range(pre_steps):  # keeps the last grid, not the pre-run's history
+        grid = GOL_RULE.step(grid)
     center = (grid_h // 2, grid_w // 2)
     m0, m1 = (_gol_measures(stack, table, d) for stack in _branches(GOL_RULE, grid, (center,), post_steps))
     volume, final, lzw_final, lzw_volume, diff = (x1 - x0 for x1, x0 in zip(m1, m0))

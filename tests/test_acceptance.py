@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
-complete.  On a 2-vCPU VM the module took about 285 s: criterion 5 (three
-width-100 sweeps) 151 s, criterion 9 (the per-spacetime oracle) 104 s and
-criterion 2 (two (3,2) builds) 8 s.
+complete.  On a 2-vCPU VM the module took about 131 s: criterion 9 (the
+per-spacetime oracle) 60 s, criterion 5 (three width-100 sweeps) 56 s,
+criterion 2 (two (3,2) builds) 4 s and criterion 4 (LZW round-trips) 3 s.
 """
 
 import functools

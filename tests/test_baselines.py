@@ -12,7 +12,35 @@ from cabdm import (
     shannon_block_entropy,
     temporal_cell_entropy,
 )
+from cabdm.baselines import _code_count
 from cabdm.rng import Stream
+
+
+def random_symbols(label, n, k):
+    """``n`` uniform symbols over 0..k-1 (k = 2 or 3) as bytes, from the 2-bit
+    digits of one bulk ``Stream.next_words`` draw; a ternary draw drops the 3s."""
+    words = np.array(Stream(label, 0).next_words(n // 16 + 1), dtype=np.uint64)
+    digits = (words[:, None] >> np.arange(0, 64, 2, dtype=np.uint64) & np.uint64(3)).ravel()
+    digits = digits % 2 if k == 2 else digits[digits < 3]
+    assert len(digits) >= n
+    return digits[:n].astype(np.uint8).tobytes()
+
+
+def as_cells(symbols, dtype=np.int8):
+    """Symbol bytes 0, 1, 2 as cells 0, 1, -1."""
+    cells = np.frombuffer(symbols, dtype=np.uint8).astype(np.int64)
+    return np.where(cells == 2, -1, cells).astype(dtype)
+
+
+def prefix_with(data, n_codes):
+    """The shortest prefix of ``data`` that ``lzw_compress`` parses into
+    ``n_codes`` codes; one more byte adds at most one code, so every count up
+    to the whole string's is reached."""
+    lo, hi = 1, len(data)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if len(lzw_compress(data[:mid]).codes) < n_codes else (lo, mid)
+    return data[:lo]
 
 
 class TestLzw:
@@ -52,16 +80,8 @@ class TestLzw:
         data = bytes(stream.next_below(256) for _ in range(6000))
         total = len(lzw_compress(data).codes)
         assert total > 1793
-
-        def prefix_with(n_codes):
-            lo, hi = 1, len(data)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                lo, hi = (mid + 1, hi) if len(lzw_compress(data[:mid]).codes) < n_codes else (lo, mid)
-            return data[:lo]
-
         for n_codes in (255, 256, 257, 767, 768, 769, 1791, 1792, 1793, total):
-            result = lzw_compress(prefix_with(n_codes))
+            result = lzw_compress(prefix_with(data, n_codes))
             assert len(result.codes) == n_codes
             assert result.compressed_bits == sum(max(9, (256 + i).bit_length()) for i in range(n_codes))
             assert result.compressed_bytes == -(-result.compressed_bits // 8)
@@ -107,6 +127,49 @@ class TestCompressedSize:
         cells = np.array([[0, 1, 1], [1, 0, -1]])
         direct = lzw_compress(serialize_cells(cells)).compressed_bytes
         assert compressed_size(cells) == direct
+
+    @pytest.mark.parametrize(
+        "k, dtype",
+        [(2, bool), (2, np.int8), (3, np.int8), (2, np.int64), (3, np.int64)],
+        ids=["bool", "int8", "int8-ternary", "int64", "int64-ternary"],
+    )
+    @pytest.mark.parametrize("shape", [(2400,), (40, 60), (6, 20, 20)], ids=["1d", "2d", "3d"])
+    def test_any_cells_match_the_oracle(self, k, dtype, shape):
+        cells = as_cells(random_symbols(f"lzw-cells-{k}", 2400, k), dtype).reshape(shape)
+        assert compressed_size(cells) == lzw_compress(serialize_cells(cells)).compressed_bytes
+
+    @pytest.mark.parametrize("cells", [[0, 2, 1], [0.5, 0.0], [[1, 0], [0, 2]]], ids=["2", "0.5", "2d-with-2"])
+    def test_cells_outside_the_alphabet_rejected(self, cells):
+        with pytest.raises(ValueError, match="cells must be over"):
+            compressed_size(np.array(cells))
+
+
+class TestCodeCount:
+    """The count path of compressed_size against the oracle's code list."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"", b"\x00", b"\x02", b"\x01" * 300, b"\x02" * 5000, b"\x00\x01" * 700, b"\x00\x02\x01" * 700],
+        ids=["empty", "1-byte", "1-byte-2", "all-equal", "all-equal-long", "alternating", "alternating-3"],
+    )
+    def test_small_and_regular_inputs(self, data):
+        assert _code_count(data) == len(lzw_compress(data).codes)
+
+    @pytest.mark.parametrize("k", [2, 3], ids=["binary", "ternary"])
+    def test_counts_and_sizes_across_code_width_boundaries(self, k):
+        # A 9->10-bit boundary at code 256 and a 10->11-bit one at code 768.
+        data = random_symbols(f"lzw-count-{k}", 12000, k)
+        for n_codes in (255, 256, 257, 767, 768, 769):
+            prefix = prefix_with(data, n_codes)
+            assert _code_count(prefix) == len(lzw_compress(prefix).codes) == n_codes
+            cells = as_cells(prefix)
+            assert compressed_size(cells) == lzw_compress(serialize_cells(cells)).compressed_bytes
+        assert _code_count(data) == len(lzw_compress(data).codes)
+
+    @given(st.lists(st.integers(0, 2), max_size=3000).map(bytes))
+    @settings(max_examples=120, deadline=None)
+    def test_any_ternary_string(self, data):
+        assert _code_count(data) == len(lzw_compress(data).codes)
 
 
 class TestBlockEntropy:

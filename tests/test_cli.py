@@ -229,6 +229,37 @@ class TestRunnerErrors:
         assert str(out) in capsys.readouterr().err
         assert blocker.read_text() == "keep"
 
+    @pytest.mark.parametrize(
+        "command, cells",
+        [
+            (["eca", "--rule", "30", "--width", "12", "--steps", "9"], 10 * 12),
+            (["perturb", "--width", "12", "--steps", "9", "--seeds", "1", "--rules", "30"], 10 * 12),
+            (["perturb", "--mode", "trace", "--width", "12", "--steps", "9"], 10 * 12),
+            (["collide", "--gap", "3", "--steps", "9", "--n-rules", "2"], 10 * (3 + 2 + 2 * 9)),
+            (["gol", "--width", "8", "--height", "6", "--pre-steps", "2", "--post-steps", "9", "--seeds", "1"],
+             10 * 6 * 8),
+        ],
+        ids=["eca", "perturb", "perturb-trace", "collide", "gol"],
+    )
+    def test_spacetime_over_the_budget_fails_before_the_run(self, tmp_path, capsys, monkeypatch, command, cells):
+        out = ["--out", str(tmp_path / "out")] if command[0] != "eca" else []
+        monkeypatch.setattr(ctm, "_TAPE_BYTES", cells)
+        assert run(command + out) == 0
+        capsys.readouterr()
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran the protocol before checking the spacetime size")
+
+        for name in ("random_config", "flip_cell", "default_table", "perturbation_sweep", "perturbation_trace",
+                     "collision_experiment", "gol_perturbation"):
+            monkeypatch.setattr(cli, name, must_not_run)
+        monkeypatch.setattr(ctm, "_TAPE_BYTES", cells - 1)
+        out = ["--out", str(tmp_path / "out2")] if out else []
+        assert run(command + out) == 1
+        error = f"cabdm: error: a spacetime of {cells} cells is over the {cells - 1}-cell limit"
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "out2").exists()
+
     @pytest.mark.parametrize("where", ["missing/t.txt", "."], ids=["missing-directory", "a-directory"])
     def test_unwritable_table_path_fails_before_the_build(self, tmp_path, capsys, monkeypatch, where):
         def must_not_run(*args):

@@ -20,7 +20,7 @@ from cabdm import (
     spacetime_measures,
     temporal_cell_entropy,
 )
-from cabdm import ctm, perturbation
+from cabdm import ca, ctm, perturbation
 from cabdm.perturbation import GOL_INIT_LABEL, INIT_LABEL
 
 
@@ -279,6 +279,24 @@ class TestGolPerturbation:
             gol_perturbation(8, 8, 0.5, -1, 5, table=table32)
         with pytest.raises(ValueError):
             gol_perturbation(8, 8, 0.5, 5, 0, table=table32)
+
+    @pytest.mark.parametrize("pre_steps", [0, 3])
+    def test_grid_under_3x3_rejected(self, table32, pre_steps):
+        with pytest.raises(ValueError, match="at least 3x3"):
+            gol_perturbation(2, 8, 0.5, pre_steps, 1, table=table32)
+
+    def test_pre_run_keeps_no_history(self, table32, monkeypatch):
+        # Only the two post-flip branches are evolved as stacks: the pre-run steps one grid.
+        evolved, evolve = [], ca._evolve
+
+        def recording(rule, init, steps):
+            evolved.append((init.shape, steps))
+            return evolve(rule, init, steps)
+
+        monkeypatch.setattr(perturbation, "_evolve", recording)
+        monkeypatch.setattr(ca, "_evolve", recording)
+        gol_perturbation(9, 7, 0.5, 50, 4, table=table32)
+        assert evolved == [((7, 9), 4), ((1, 7, 9), 4)]
 
     def test_table_is_a_required_keyword(self, table32):
         with pytest.raises(TypeError):
